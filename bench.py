@@ -6,8 +6,8 @@ num_cpus=$RAY_GRAFT_CPUS or 32):
 
   build      index the deterministic synthetic transcript corpus sized to
              the sf (≈ lineitem row count turns) → indexed turns/sec
-  query      top-k BM25 over the built index: batched throughput via the
-             SegmentSearcher actor pool + per-query p50/p95 latency
+  query      top-k BM25 over the built index: batched throughput via
+             per-segment Ray tasks + per-query p50/p95 latency
   consolidate tier-policy merge of the built segments
   dataops    exact dedup + minhash near-dup + quality over documents;
              brute-force cosine top-k over embeddings
@@ -144,7 +144,7 @@ def bench_build(corpus: str, num_partitions: int | None = None) -> dict:
 
     import ray
 
-    from iresearch_ray.pipelines.build import build_index_direct
+    from iresearch_ray.pipelines.build import build_index
 
     warm_secs = _warm_cluster()
 
@@ -155,7 +155,7 @@ def bench_build(corpus: str, num_partitions: int | None = None) -> dict:
     )
     turns = sum(pq.read_metadata(f).num_rows for f in files)
     t0 = time.perf_counter()
-    manifest = build_index_direct(files, idx, num_partitions=num_partitions, resume=False)
+    manifest = build_index(files, idx, num_partitions=num_partitions, resume=False)
     secs = time.perf_counter() - t0
     assert manifest["metrics"]["docs_count"] == turns
     return {
@@ -179,17 +179,16 @@ def bench_query(idx: str) -> dict:
     batch = {name: mk(F) for name, mk in QUERY_SET}
     read_meter()  # drain prior stages
 
-    # batched throughput through a fresh Ray Data actor pool (the cold
-    # distributed path — the r1 "query_batch" metric, restored to that name
-    # for round-over-round continuity).  Every search_ray call spawns a
-    # fresh pool, so repeats stay cold; best-of-2 per the repo's VM-noise
-    # protocol (additive phantom load ⇒ min is the honest estimator).
+    # batched throughput through a fresh Ray Data job (the cold distributed
+    # path — the r1 "query_batch" metric, restored to that name for
+    # round-over-round continuity).  Every search_ray call opens its
+    # segments afresh, so repeats stay cold; best-of-2 per the repo's
+    # VM-noise protocol (additive phantom load ⇒ min is the honest
+    # estimator).
     dataset_batch_secs = float("inf")
     dataset_cpu = []
     for _ in range(2):
         t0 = time.perf_counter()
-        # task-pool cold path: per-task fresh segment loads (cold I/O kept),
-        # executed in prestarted workers — no per-batch actor-pool spawn
         out = s.search_ray(batch, k=10)
         dataset_batch_secs = min(dataset_batch_secs, time.perf_counter() - t0)
         dataset_cpu.append(read_meter().get("query", {}))

@@ -3,7 +3,7 @@
 Runs standalone or via ``ray job submit`` (SURVEY §3.1 / B north_rule):
 
     python bench/build_bench.py --input DIR_OR_GLOB --index-dir DIR \\
-        [--partitions N] [--num-cpus N] [--no-resume] [--plan direct|groupby]
+        [--partitions N] [--num-cpus N] [--no-resume]
 
     ray job submit --working-dir . -- python bench/build_bench.py \\
         --input /data/transcripts --index-dir /shared/idx
@@ -30,12 +30,6 @@ def main() -> int:
     ap.add_argument("--partitions", type=int, default=None)
     ap.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     ap.add_argument("--no-resume", action="store_true")
-    ap.add_argument(
-        "--plan",
-        choices=("direct", "groupby"),
-        default="direct",
-        help="direct = two-stage hash exchange (scaling path); groupby = Dataset sort-shuffle",
-    )
     args = ap.parse_args()
 
     import ray
@@ -49,12 +43,11 @@ def main() -> int:
             logging_level="ERROR",
         )
     try:
-        from iresearch_ray.pipelines.build import build_index, build_index_direct
+        from iresearch_ray.pipelines.build import build_index
 
         src = args.input.split(",") if "," in args.input else args.input
-        build = build_index_direct if args.plan == "direct" else build_index
         t0 = time.perf_counter()
-        m = build(
+        m = build_index(
             src,
             args.index_dir,
             num_partitions=args.partitions,

@@ -3,13 +3,13 @@
 From-scratch re-expression of the query/data-processing capabilities of
 IResearch (yyht/iresearch, the fulltext core of ArangoSearch) on Ray Data:
 
-- index build = ``ray.data.read_parquet`` → hash-partition by ``conv_id`` →
+- index build = Parquet (or Dataset) read → hash exchange by ``conv_id`` →
   per-partition immutable segment build (term dict + delta+varint posting
   lists with skip/block-max metadata + doc-table with norms) → manifest
   two-phase commit  (SURVEY.md §3.1)
 - query = driver-side prepare (global stats, multiterm expansion) →
-  SegmentSearcher actor pool → per-segment block-max-pruned BM25 top-k →
-  driver k-way merge  (SURVEY.md §3.2)
+  per-segment Ray tasks or a persistent QueryPool → block-max-pruned BM25
+  top-k → driver k-way merge  (SURVEY.md §3.2)
 - consolidation = tiered merge policy + per-candidate-set Ray merge tasks
   (SURVEY.md §3.3)
 

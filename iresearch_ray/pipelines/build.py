@@ -1,27 +1,38 @@
 """Index build pipeline — SURVEY.md §3.1 (entry point 1).
 
-Two physical plans with identical output (content-hash segment names prove
-it in tests/test_build_direct.py):
+One physical plan, an explicit two-stage hash exchange, serves every build:
 
-- ``build_index`` — Dataset-native: groupby(__part).map_groups (sort-based
-  shuffle); simplest expression, used by the driver-contract corpus.
-- ``build_index_direct`` — explicit two-stage hash exchange (grouped read
-  tasks × num_returns=P); the scaling path used by bench/-scale runs.
+    source: Parquet files (column-pruned reads) or the Arrow blocks of a
+            ray.data.Dataset (``Dataset.to_arrow_refs``)
+      → stage A, one Ray task per input group: split the rows by
+        crc32(conv_id) % P with one stable sort and P zero-copy slices,
+        returned as P objects (num_returns=P) so stage B fetches only its
+        own partition's bytes.  Partitions adopted on resume are dropped
+        here: a resumed build re-reads but never re-ships or re-indexes
+        finished work.
+      → stage B, one Ray task per partition: concat its shards → build +
+        atomically write one segment (an empty partition writes nothing)
+      → driver: collect the meta dicts → manifest generation+1 (two-phase
+        commit)
 
-    ray.data.read_parquet(transcripts, columns=<pruned>)
-      → map_batches: deterministic hash(conv_id) % P partition assignment
-        (+ resume filter: rows of already-completed partitions are dropped
-         BEFORE the shuffle, so a resumed build re-reads but never re-shuffles
-         or re-indexes finished work)
-      → groupby(__part).map_groups: per-partition segment build + atomic write
-      → driver: collect tiny meta rows → manifest generation+1 (two-phase commit)
+``build_index`` (a fresh build) and ``append_index`` (a new batch appended
+in one generation) both run this exchange; ``build_index_local`` applies the
+same split and writer in-process, without Ray.  The jobs differ only in the
+segment name prefix and lineage (``seg-p…`` vs ``seg-b<batch>-p…``), and one
+predicate (``_adoptable``) decides what a resumed job may reuse.
 
-The only shuffle is the partition groupby, keyed by hash(conv_id) — one
-conversation's turns always land in one segment, which preserves stable
-(conv_id, turn_idx)-local doc ids and makes per-turn text equality checks
-partition-local (SURVEY §4.2).  The postings accumulator lives entirely
-inside one map_groups task (the field_data analog) — no cross-task mutable
-state (SURVEY §3.1).
+The only exchange is keyed by hash(conv_id) — one conversation's turns
+always land in one segment, which preserves stable (conv_id, turn_idx)-local
+doc ids and makes per-turn text equality checks partition-local (SURVEY
+§4.2).  The postings accumulator lives entirely inside one stage-B task (the
+field_data analog) — no cross-task mutable state (SURVEY §3.1).
+
+Why an explicit exchange rather than a Dataset groupby (SURVEY §4.1): the
+sort-based shuffle pays a global sort whose poorly parallelized boundary
+dominates small-to-mid builds; this is the classic M×R map-side split, every
+stage embarrassingly parallel, with no ordering requirement (each partition
+re-sorts locally by (conv_id, turn_idx) anyway).  Metadata cost is G×P refs
+for G input groups, and G is capped near P.
 
 Skew note (SURVEY §4.1): conv_id hash partitioning is uniform by construction
 (conv sizes are bounded: one conversation ≪ partition size), unlike term-keyed
@@ -104,63 +115,138 @@ def _input_columns(schema_names: list[str], cfg: IndexConfig) -> list[str]:
     return [c for c in wanted if c in schema_names]
 
 
-def _source_fingerprint(source) -> dict:
-    if isinstance(source, str):
-        source = [source]
-    if isinstance(source, (list, tuple)) and all(isinstance(s, str) for s in source):
-        # json-shaped (lists, not tuples) so the manifest round-trip
-        # compares equal on resume
-        return {"files": [[f, os.path.getsize(f)] for f in _expand_files(list(source))]}
-    return {"files": None}
+def _partitions_for(nbytes: int | None) -> int:
+    return max(1, math.ceil((nbytes or 0) / TARGET_PARTITION_BYTES))
 
 
-def _num_partitions(ds, explicit: int | None) -> int:
-    if explicit:
-        return explicit
-    try:
-        nbytes = ds.size_bytes()
-    except Exception:
-        nbytes = None
-    if not nbytes:
-        return 1
-    return max(1, math.ceil(nbytes / TARGET_PARTITION_BYTES))
+def _parquet_source(source, cfg: IndexConfig, num_partitions: int | None):
+    """(files, fingerprint, pruned columns, P) of a Parquet source.  Default
+    P: parquet is ~4x smaller than in-memory arrow for text, so partitions
+    aim at TARGET_PARTITION_BYTES of in-memory rows."""
+    files = _expand_files(source)
+    if not files:
+        raise ValueError(f"no parquet files in {source!r}")
+    # json-shaped (lists, not tuples) so the manifest round-trip compares
+    # equal on resume
+    fingerprint = {"files": [[f, os.path.getsize(f)] for f in files]}
+    cols = _input_columns(pq.read_schema(files[0]).names, cfg)
+    P = num_partitions or _partitions_for(4 * sum(sz for _, sz in fingerprint["files"]))
+    return files, fingerprint, cols, P
 
 
-def _build_group_fn(index_dir: str, cfg: IndexConfig, num_partitions: int, fingerprint: dict | None = None, crypto=None):
-    def build_group(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"meta": pa.array([], pa.string())})
-        part = int(group["__part"][0].as_py())
-        rows = group.drop_columns(["__part"])
-        t0 = time.perf_counter()
-        c0 = time.process_time()
-        from iresearch_ray.state.meter import cpu_mark, report_since
+def _adoptable(index_dir: str, P: int, cfg: IndexConfig, crypto, **lineage) -> dict[int, dict]:
+    """Completed segments a resumed job may reuse, by partition.  Adoption
+    requires per-segment provenance: the segment's own meta must record this
+    P, this config, this encryption key (id AND key-bytes fingerprint, so a
+    rotated master key under a reused key_id forces a rebuild — ADVICE r3)
+    and every ``lineage`` item (the source fingerprint of a build, the batch
+    key of an append).  Orphans from a crashed run over different data or
+    under a prior config are never adopted (round-2 review fix)."""
+    cfg_json = cfg.to_json()
+    done: dict[int, dict] = {}
+    for meta in completed_segments(index_dir).values():
+        lin = meta.get("lineage", {})
+        if (
+            lin.get("of_partitions") == P
+            and isinstance(lin.get("partition"), int)
+            and all(lin.get(k) == v for k, v in lineage.items())
+            and meta.get("config") == cfg_json
+            and meta.get("encrypted") == getattr(crypto, "key_id", None)
+            and meta.get("key_fp") == getattr(crypto, "key_fingerprint", None)
+        ):
+            done[lin["partition"]] = meta
+    return done
 
-        mk = cpu_mark()
-        key = segment_content_key(rows, cfg, crypto)
-        name = f"seg-p{part:05d}-{key}"
-        terms, docs, field_stats = build_segment_tables(rows, cfg)
-        cpu = time.process_time() - c0
-        report_since("build", mk)
-        meta = write_segment(
-            index_dir,
-            name,
-            terms,
-            docs,
-            field_stats,
-            cfg,
-            lineage={"partition": part, "of_partitions": num_partitions,
-                     "rows": rows.num_rows, "input": fingerprint},
-            metrics={
-                "build_secs": round(time.perf_counter() - t0, 4),
-                "build_cpu_secs": round(cpu, 4),
-                "tokens": field_stats.get(cfg.text_field, {}).get("total_term_freq", 0),
-            },
-            crypto=crypto,
-        )
-        return pa.table({"meta": pa.array([json.dumps(meta)], pa.string())})
 
-    return build_group
+def _split(t: pa.Table, P: int, skip=()) -> list[pa.Table | None]:
+    """Rows of ``t`` by hash(conv_id) % P — one stable sort and P zero-copy
+    slices instead of P ``filter`` scans.  Empty partitions and those in
+    ``skip`` come back as None."""
+    part = hash_partition(t["conv_id"], P)
+    order = np.argsort(part, kind="stable")
+    t = t.take(pa.array(order))
+    bounds = np.searchsorted(part[order], np.arange(P + 1))
+    return [
+        None if lo == hi or p in skip else t.slice(lo, hi - lo)
+        for p, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    ]
+
+
+def _write_part(index_dir: str, cfg: IndexConfig, rows: pa.Table, part: int, P: int,
+                prefix: str, lineage: dict, crypto) -> dict:
+    """Build and atomically write partition ``part``'s segment, named
+    ``<prefix>p<part>-<content key>``; returns its meta entry."""
+    from iresearch_ray.state.meter import cpu_mark, report_since
+
+    t0 = time.perf_counter()
+    c0 = time.process_time()
+    mk = cpu_mark()
+    key = segment_content_key(rows, cfg, crypto)
+    terms, docs, field_stats = build_segment_tables(rows, cfg)
+    cpu = time.process_time() - c0
+    report_since("append" if "batch" in lineage else "build", mk)
+    return write_segment(
+        index_dir,
+        f"{prefix}p{part:05d}-{key}",
+        terms,
+        docs,
+        field_stats,
+        cfg,
+        lineage={"partition": part, "of_partitions": P, "rows": rows.num_rows, **lineage},
+        metrics={
+            "build_secs": round(time.perf_counter() - t0, 4),
+            "build_cpu_secs": round(cpu, 4),
+            "tokens": field_stats.get(cfg.text_field, {}).get("total_term_freq", 0),
+        },
+        crypto=crypto,
+    )
+
+
+def _read_split(P: int, skip: frozenset, cols, *inputs):
+    """Stage A: one input group (Parquet paths or Arrow blocks) → P shards."""
+    tables = [pq.read_table(x, columns=cols) if isinstance(x, str) else x for x in inputs]
+    tables = [t for t in tables if t.num_rows]  # empty blocks may lack a schema
+    out = (
+        _split(pa.concat_tables(tables, promote_options="default"), P, skip)
+        if tables
+        else [None] * P
+    )
+    return tuple(out) if P > 1 else out[0]
+
+
+def _build_part(index_dir, cfg, crypto, P, part, prefix, lineage, *shards):
+    """Stage B: one partition's shards → one segment (None when empty)."""
+    tables = [t for t in shards if t is not None]
+    if not tables:
+        return None
+    rows = pa.concat_tables(tables, promote_options="default")
+    return _write_part(index_dir, cfg, rows, part, P, prefix, lineage, crypto)
+
+
+def _exchange(inputs: list, index_dir: str, cfg: IndexConfig, P: int, done, crypto,
+              prefix: str, lineage: dict, cols=None) -> list[dict]:
+    """Run the two-stage exchange over ``inputs`` (Parquet paths, or Arrow
+    block refs) for every partition not in ``done``; returns the new metas."""
+    import ray
+
+    # group inputs so stage A is O(P) tasks: one read task per file, each
+    # returning P objects, floods the object store with F×P refs (observed
+    # to collapse throughput at a few hundred files); ~P groups keeps the
+    # ref count at P² while still saturating the cluster
+    n_groups = min(len(inputs), max(P, 16))
+    groups = [inputs[i::n_groups] for i in range(n_groups)]
+    split = ray.remote(num_cpus=1)(_read_split).options(num_returns=P)
+    skip = frozenset(done)
+    refs = [split.remote(P, skip, cols, *g) for g in groups]
+    if P == 1:
+        refs = [[r] for r in refs]
+    build = ray.remote(num_cpus=1)(_build_part)
+    metas = ray.get([
+        build.remote(index_dir, cfg, crypto, P, p, prefix, lineage, *[r[p] for r in refs])
+        for p in range(P)
+        if p not in done
+    ])
+    return [m for m in metas if m is not None]
 
 
 def build_index(
@@ -171,195 +257,29 @@ def build_index(
     resume: bool = True,
     crypto=None,
 ) -> dict:
-    """Build (or resume) an index from a Parquet path / list of paths / an
-    existing ``ray.data.Dataset`` of transcript rows.  Returns the committed
-    manifest.  Does NOT call ray.init() — caller owns the session."""
-    import ray.data as rd
+    """Build (or resume) an index from a Parquet path / list of paths (files
+    or dirs) / an existing ``ray.data.Dataset`` of transcript rows.  Returns
+    the committed manifest.  Does NOT call ray.init() — caller owns the
+    session.
 
+    Default P: 4 × Parquet bytes / TARGET_PARTITION_BYTES for files,
+    ``ds.size_bytes()`` / TARGET_PARTITION_BYTES for a Dataset.  Only file
+    sources are resume-adopted: an in-memory Dataset has no fingerprint
+    ({"files": None}), and None == None must not alias different data."""
     cfg = cfg or IndexConfig()
     if isinstance(source, (str, list, tuple)):
-        expanded = _expand_files(source)
-        schema = pq.read_schema(expanded[0]) if expanded else None
-        cols = _input_columns(schema.names, cfg) if schema is not None else None
-        ds = rd.read_parquet(source, columns=cols)
+        inputs, fingerprint, cols, P = _parquet_source(source, cfg, num_partitions)
     else:
-        ds = source
+        ds = source.materialize()
+        fingerprint, cols = {"files": None}, None
+        P = num_partitions or _partitions_for(ds.size_bytes())
+        inputs = ds.to_arrow_refs()
 
-    P = _num_partitions(ds, num_partitions)
-    fingerprint = _source_fingerprint(source)
-
-    # ----- resume: find completed partitions of a matching prior run -----
-    done: dict[int, dict] = {}
-    if resume and fingerprint.get("files") is not None:
-        # adoption requires per-segment provenance: the segment must record
-        # THIS source fingerprint and THIS config in its own lineage/meta —
-        # orphan segments from a crashed run over different data (or a prior
-        # config) are never adopted (round-2 review fix).  In-memory Dataset
-        # sources have no fingerprint ({"files": None}) and are NEVER
-        # resume-adopted — None == None must not alias different data.
-        cfg_json = cfg.to_json()
-        for name, meta in completed_segments(index_dir).items():
-            lin = meta.get("lineage", {})
-            if (
-                lin.get("of_partitions") == P
-                and isinstance(lin.get("partition"), int)
-                and lin.get("input") == fingerprint
-                and meta.get("config") == cfg_json
-                and meta.get("encrypted") == getattr(crypto, "key_id", None)
-                # key-bytes fingerprint too: a rotated master key under a
-                # reused key_id must force a rebuild, not a silent
-                # mixed-key adoption (ADVICE r3)
-                and meta.get("key_fp") == getattr(crypto, "key_fingerprint", None)
-            ):
-                done[lin["partition"]] = meta
-
-    done_parts = np.array(sorted(done), dtype=np.int64)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        part = hash_partition(batch["conv_id"], P)
-        batch = batch.append_column("__part", pa.array(part, pa.int64()))
-        if done_parts.size:
-            keep = ~np.isin(part, done_parts)
-            batch = batch.filter(pa.array(keep))
-        return batch
-
-    ds = ds.map_batches(assign, batch_format="pyarrow")
-    metas_ds = ds.groupby("__part").map_groups(
-        _build_group_fn(index_dir, cfg, P, fingerprint, crypto), batch_format="pyarrow"
-    )
-    new_metas = [json.loads(r["meta"]) for r in metas_ds.take_all()]
-
-    all_metas = list(done.values()) + new_metas
-    manifest = commit_manifest(
-        index_dir,
-        all_metas,
-        cfg.to_json(),
-        lineage={
-            "input": fingerprint,
-            "num_partitions": P,
-            "resumed_partitions": sorted(int(p) for p in done),
-            "built_partitions": sorted(m["lineage"]["partition"] for m in new_metas),
-        },
-        metrics={
-            "docs_count": sum(m["docs_count"] for m in all_metas),
-            "segments": len(all_metas),
-            "build_secs_per_partition": {
-                str(m["lineage"]["partition"]): m["metrics"].get("build_secs")
-                for m in new_metas
-            },
-        },
-    )
-    return manifest
-
-
-def build_index_direct(
-    source,
-    index_dir: str,
-    cfg: IndexConfig | None = None,
-    num_partitions: int | None = None,
-    resume: bool = True,
-    crypto=None,
-) -> dict:
-    """Same contract as ``build_index`` but with an EXPLICIT two-stage hash
-    exchange instead of the Dataset sort-based groupby:
-
-      stage A (one Ray task per input file): read + column-prune + split rows
-        by crc32(conv_id) % P, returning P separate objects (num_returns=P)
-        so stage B fetches ONLY its partition's bytes;
-      stage B (one Ray task per partition): concat its F shard tables →
-        build + write the segment.
-
-    Rationale (SURVEY §4.1): the sort-based shuffle pays a global sort with a
-    poorly-parallelized boundary that dominates small-to-mid builds and caps
-    scaling efficiency; this exchange is the classic M×R map-side split, all
-    stages embarrassingly parallel, no ordering requirement (each partition
-    re-sorts locally by (conv_id, turn_idx) anyway).  Metadata cost is F×P
-    refs — fine up to ~10⁴ files × ~10³ partitions per job; at larger F the
-    job is split by input directory (resume makes that free).
-    """
-    import ray
-
-    cfg = cfg or IndexConfig()
-    files = _expand_files(source)
-    fingerprint = {"files": [[f, os.path.getsize(f)] for f in files]}
-
-    schema = pq.read_schema(files[0])
-    cols = _input_columns(schema.names, cfg)
-    if num_partitions:
-        P = num_partitions
-    else:
-        nbytes = sum(sz for _, sz in fingerprint["files"])
-        # parquet is ~4x smaller than in-memory arrow for text; aim partitions
-        # at TARGET_PARTITION_BYTES of in-memory rows
-        P = max(1, math.ceil(4 * nbytes / TARGET_PARTITION_BYTES))
-
-    done: dict[int, dict] = {}
-    if resume:
-        # per-segment provenance required for adoption (round-2 review fix)
-        cfg_json = cfg.to_json()
-        for name, meta in completed_segments(index_dir).items():
-            lin = meta.get("lineage", {})
-            if (
-                lin.get("of_partitions") == P
-                and isinstance(lin.get("partition"), int)
-                and lin.get("input") == fingerprint
-                and meta.get("config") == cfg_json
-                and meta.get("encrypted") == getattr(crypto, "key_id", None)
-                # key-bytes fingerprint too: a rotated master key under a
-                # reused key_id must force a rebuild, not a silent
-                # mixed-key adoption (ADVICE r3)
-                and meta.get("key_fp") == getattr(crypto, "key_fingerprint", None)
-            ):
-                done[lin["partition"]] = meta
-    done_parts = np.array(sorted(done), dtype=np.int64)
-
-    @ray.remote(num_cpus=1, num_returns=P)
-    def read_split(paths: list[str]):
-        t = pa.concat_tables(pq.read_table(f, columns=cols) for f in paths)
-        part = hash_partition(t["conv_id"], P)
-        # one stable sort + P zero-copy slices beats P table.filter scans
-        order = np.argsort(part, kind="stable")
-        t = t.take(pa.array(order))
-        sorted_part = part[order]
-        bounds = np.searchsorted(sorted_part, np.arange(P + 1))
-        out = []
-        for p in range(P):
-            lo, hi = int(bounds[p]), int(bounds[p + 1])
-            if hi == lo or p in done:
-                out.append(None)
-            else:
-                out.append(t.slice(lo, hi - lo))
-        return tuple(out) if P > 1 else out[0]
-
-    build = _build_group_fn(index_dir, cfg, P, fingerprint, crypto)
-
-    @ray.remote(num_cpus=1)
-    def build_part(p: int, *shards):
-        tables = [t for t in shards if t is not None and t.num_rows]
-        if not tables:
-            return None
-        rows = pa.concat_tables(tables)
-        rows = rows.append_column("__part", pa.array(np.full(rows.num_rows, p), pa.int64()))
-        out = build(rows)
-        return out["meta"][0].as_py()
-
-    # group files so stage A is O(P) tasks: F independent read tasks each
-    # returning P objects floods the object store with F×P refs (observed to
-    # collapse throughput at a few hundred files); ~P groups keeps the ref
-    # count at P² while still saturating the cluster
-    n_groups = min(len(files), max(P, 16))
-    groups: list[list[str]] = [files[i::n_groups] for i in range(n_groups)]
-    groups = [g for g in groups if g]
-    refs = [read_split.remote(g) for g in groups]  # [G][P] object refs
-    if P == 1:
-        build_refs = [] if 0 in done else [build_part.remote(0, *refs)]
-    else:
-        build_refs = [
-            build_part.remote(p, *[refs[g][p] for g in range(len(groups))])
-            for p in range(P)
-            if p not in done
-        ]
-    new_metas = [json.loads(m) for m in ray.get(build_refs) if m is not None]
+    done = {}
+    if resume and fingerprint["files"] is not None:
+        done = _adoptable(index_dir, P, cfg, crypto, input=fingerprint)
+    new_metas = _exchange(inputs, index_dir, cfg, P, done, crypto, "seg-",
+                          {"input": fingerprint}, cols)
 
     all_metas = list(done.values()) + new_metas
     return commit_manifest(
@@ -383,6 +303,13 @@ def build_index_direct(
     )
 
 
+def build_index_direct(source, index_dir: str, cfg: IndexConfig | None = None,
+                       num_partitions: int | None = None, resume: bool = True,
+                       crypto=None) -> dict:
+    """Alias of :func:`build_index`, kept for callers that import this name."""
+    return build_index(source, index_dir, cfg, num_partitions, resume, crypto)
+
+
 def append_index(
     source,
     index_dir: str,
@@ -398,97 +325,16 @@ def append_index(
     partitions of different batches can never alias).  Config comes from the
     existing manifest.  Follow with consolidate() to fold small batch
     segments into the tiers."""
-    import zlib as _zlib
-
-    import ray
-
     manifest = load_manifest(index_dir)
     if manifest is None:
         raise FileNotFoundError(f"no manifest in {index_dir} — use build_index first")
     cfg = IndexConfig.from_json(manifest["config"])
 
-    files = _expand_files(source)
-    fingerprint = {"files": [[f, os.path.getsize(f)] for f in files]}
-    batch_key = f"{_zlib.crc32(json.dumps(fingerprint, sort_keys=True).encode()):08x}"
-
-    schema = pq.read_schema(files[0])
-    cols = _input_columns(schema.names, cfg)
-    if num_partitions:
-        P = num_partitions
-    else:
-        nbytes = sum(sz for _, sz in fingerprint["files"])
-        P = max(1, math.ceil(4 * nbytes / TARGET_PARTITION_BYTES))
-
-    done: dict[int, dict] = {}
-    if resume:
-        for name, meta in completed_segments(index_dir).items():
-            lin = meta.get("lineage", {})
-            if (
-                lin.get("batch") == batch_key
-                and lin.get("of_partitions") == P
-                and isinstance(lin.get("partition"), int)
-                and meta.get("encrypted") == getattr(crypto, "key_id", None)
-                # key-bytes fingerprint too: a rotated master key under a
-                # reused key_id must force a rebuild, not a silent
-                # mixed-key adoption (ADVICE r3)
-                and meta.get("key_fp") == getattr(crypto, "key_fingerprint", None)
-            ):
-                done[lin["partition"]] = meta
-
-    @ray.remote(num_cpus=1, num_returns=P)
-    def read_split(paths: list[str]):
-        t = pa.concat_tables(pq.read_table(f, columns=cols) for f in paths)
-        part = hash_partition(t["conv_id"], P)
-        order = np.argsort(part, kind="stable")
-        t = t.take(pa.array(order))
-        sorted_part = part[order]
-        bounds = np.searchsorted(sorted_part, np.arange(P + 1))
-        out = []
-        for p in range(P):
-            lo, hi = int(bounds[p]), int(bounds[p + 1])
-            out.append(None if hi == lo or p in done else t.slice(lo, hi - lo))
-        return tuple(out) if P > 1 else out[0]
-
-    def build_batch_part(rows: pa.Table, part: int) -> dict:
-        key = segment_content_key(rows, cfg, crypto)
-        name = f"seg-b{batch_key}-p{part:05d}-{key}"
-        terms, docs, field_stats = build_segment_tables(rows, cfg)
-        return write_segment(
-            index_dir,
-            name,
-            terms,
-            docs,
-            field_stats,
-            cfg,
-            lineage={
-                "partition": part,
-                "of_partitions": P,
-                "batch": batch_key,
-                "rows": rows.num_rows,
-            },
-            metrics={},
-            crypto=crypto,
-        )
-
-    @ray.remote(num_cpus=1)
-    def build_part(p: int, *shards):
-        tables = [t for t in shards if t is not None and t.num_rows]
-        if not tables:
-            return None
-        return json.dumps(build_batch_part(pa.concat_tables(tables), p))
-
-    n_groups = min(len(files), max(P, 16))
-    groups = [g for g in ([files[i::n_groups] for i in range(n_groups)]) if g]
-    refs = [read_split.remote(g) for g in groups]
-    if P == 1:
-        build_refs = [] if 0 in done else [build_part.remote(0, *refs)]
-    else:
-        build_refs = [
-            build_part.remote(p, *[refs[g][p] for g in range(len(groups))])
-            for p in range(P)
-            if p not in done
-        ]
-    new_metas = [json.loads(m) for m in ray.get(build_refs) if m is not None]
+    files, fingerprint, cols, P = _parquet_source(source, cfg, num_partitions)
+    batch_key = f"{zlib.crc32(json.dumps(fingerprint, sort_keys=True).encode()):08x}"
+    done = _adoptable(index_dir, P, cfg, crypto, batch=batch_key) if resume else {}
+    new_metas = _exchange(files, index_dir, cfg, P, done, crypto, f"seg-b{batch_key}-",
+                          {"batch": batch_key}, cols)
 
     batch_metas = list(done.values()) + new_metas
     # re-appending an already-committed batch must be a no-op: segments the
@@ -729,16 +575,11 @@ def build_index_local(
     """Pure-local (no Ray) build over an in-memory table — unit-test and
     golden-fixture path; byte-identical segment layout to the Ray path."""
     cfg = cfg or IndexConfig()
-    part = hash_partition(table["conv_id"], num_partitions)
-    metas = []
-    build = _build_group_fn(index_dir, cfg, num_partitions, crypto=crypto)
-    for p in range(num_partitions):
-        rows = table.filter(pa.array(part == p))
-        if rows.num_rows == 0:
-            continue
-        rows = rows.append_column("__part", pa.array(np.full(rows.num_rows, p), pa.int64()))
-        out = build(rows)
-        metas.append(json.loads(out["meta"][0].as_py()))
+    metas = [
+        _write_part(index_dir, cfg, rows, p, num_partitions, "seg-", {"input": None}, crypto)
+        for p, rows in enumerate(_split(table, num_partitions))
+        if rows is not None
+    ]
     return commit_manifest(
         index_dir,
         metas,

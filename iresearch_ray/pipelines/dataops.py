@@ -3364,16 +3364,24 @@ def temperature_sample(
     the driver — bounded by construction), per-stratum thresholds broadcast,
     then one narrow vectorized filter pass; the corpus never shuffles.
     ``q_s`` is rounded to 6 decimals BEFORE the 2^32 floor on both the
-    engine and SQL sides so float ulps can't flip a boundary row."""
+    engine and SQL sides so float ulps can't flip a boundary row, with the
+    SQL ROUND rule (half away from zero).  Rows with a null ``by`` belong
+    to no stratum: they raise ValueError instead of being sampled."""
     import ray
 
     counts = ds.groupby(by).count().to_pandas()
+    null_rows = int(counts.loc[counts[by].isna(), "count()"].sum())
+    if null_rows:
+        raise ValueError(
+            f"temperature_sample: {null_rows} rows have a null {by!r}; "
+            "drop or fill them first"
+        )
     n = counts["count()"].to_numpy().astype(np.float64)
     strata = counts[by].astype(str).tolist()
     w = np.power(n, alpha)
     w = w / w.sum()
     target = rate * n.sum()
-    q = np.minimum(1.0, np.round(target * w / n, 6))
+    q = np.minimum(1.0, round_half_away(target * w / n, 6))
     thresh = {s: np.uint64(np.floor(qq * _SAMPLE_MOD)) for s, qq in zip(strata, q)}
     thr_ref = ray.put(thresh)
 

@@ -1,9 +1,10 @@
 """Query pipeline — SURVEY.md §3.2 (entry point 2).
 
 driver: manifest snapshot → global stats (cached per generation) → prepare
-each query (expansion + idf weights) → fan (query × segment) work units to a
-SegmentSearcher actor pool → driver k-way merge of per-segment top-k under
-the pinned total order (score desc, conv_id asc, turn_idx asc — SURVEY §2.6).
+each query (expansion + idf weights) → fan (query × segment) work units out
+as Ray tasks (``search_ray``) or to a persistent QueryPool (``search_pooled``)
+→ driver k-way merge of per-segment top-k under the pinned total order
+(score desc, conv_id asc, turn_idx asc — SURVEY §2.6).
 
 Because the build partitions by hash(conv_id), a document exists in exactly
 one segment, so the merge is a pure k-way top-k selection (no score
@@ -20,11 +21,7 @@ import pyarrow as pa
 
 from iresearch_ray.query.exec import segment_topk
 from iresearch_ray.query.filters import Filter, Prepared, ScorerCfg, prepare
-from iresearch_ray.stages.searcher import (
-    RESULT_SCHEMA,
-    SegmentSearcher,
-    search_batch_task,
-)
+from iresearch_ray.stages.searcher import RESULT_SCHEMA, search_batch_task
 from iresearch_ray.stages.segment import IndexConfig, SegmentReader
 from iresearch_ray.state.manifest import load_manifest, segment_dirs
 from iresearch_ray.state.stats import build_global_stats
@@ -153,7 +150,7 @@ class Searcher:
             self._pool = QueryPool(self.index_dir, num_actors=num_actors, searcher=self)
         return self._pool.highlights(queries, k=k, scorer=scorer, field=field, source=source)
 
-    # -- distributed execution: SegmentSearcher actor pool ----------------
+    # -- distributed execution: one Ray task per work-unit batch ----------
     def search_ray(
         self,
         queries: dict[str, Filter],
@@ -162,27 +159,23 @@ class Searcher:
         scorer: ScorerCfg | None = None,
         concurrency: int | tuple[int, int] | None = None,
         batch_size: int | None = None,
-        compute: str = "tasks",
     ) -> pd.DataFrame:
         """Run a batch of named queries; returns (query_id, conv_id,
         turn_idx, score) with ranks merged across segments.
 
-        ``compute="tasks"`` (default) runs each (segment × query-batch) work
-        unit as a Ray TASK: segment state is still loaded fresh per unit
-        (the cold path stays cold), but tasks execute in Ray's prestarted
-        worker processes, so a one-shot batch does not pay an actor pool's
-        per-process spawn+import (~2 s) before the first posting is read.
-        ``compute="actors"`` keeps the SegmentSearcher actor pool, which only
-        pays off when the same segment recurs across many batches (more
-        query groups than segments) and reader reuse matters; ``concurrency``
-        then sizes the pool (default 4)."""
+        Each (segment × query-batch) work unit runs as a Ray TASK: segment
+        state is loaded fresh per unit (the cold path stays cold), but tasks
+        execute in Ray's prestarted worker processes, so a one-shot batch
+        does not pay an actor pool's per-process spawn+import (~2 s) before
+        the first posting is read.  Repeat callers should use
+        ``search_pooled``, whose actors keep their segment shards."""
         import ray.data as rd
 
         plans = {
             qid: json.dumps(self.prepare(f, scorer).plan) for qid, f in queries.items()
         }
-        # group items per segment so an actor's cached shard serves a whole
-        # batch of queries per block (cache locality, SURVEY §3.2)
+        # group items per segment so one opened reader serves a whole batch
+        # of queries per block (cache locality, SURVEY §3.2)
         from iresearch_ray.pipelines.delete import _entries
 
         tombs_json = json.dumps(_entries(self.manifest))
@@ -204,31 +197,20 @@ class Searcher:
         if batch_size is None:
             batch_size = max(1, len(plans))
         ds = rd.from_items(items)
-        # tombstones + index_dir ship ONCE (constructor / fn_kwargs) instead
-        # of being duplicated into every (segment x query) work item
-        shared = {
-            "tombstones_json": tombs_json,
-            "index_dir": self.index_dir,
-            "crypto": self.crypto,
-        }
-        if compute == "actors":
-            res = ds.map_batches(
-                SegmentSearcher,
-                fn_constructor_kwargs=shared,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=concurrency or 4,
-                num_cpus=1,
-            )
-        else:
-            res = ds.map_batches(
-                search_batch_task,
-                fn_kwargs=shared,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=concurrency,
-                num_cpus=1,
-            )
+        # tombstones + index_dir ship ONCE (fn_kwargs) instead of being
+        # duplicated into every (segment x query) work item
+        res = ds.map_batches(
+            search_batch_task,
+            fn_kwargs={
+                "tombstones_json": tombs_json,
+                "index_dir": self.index_dir,
+                "crypto": self.crypto,
+            },
+            batch_format="pyarrow",
+            batch_size=batch_size,
+            concurrency=concurrency,
+            num_cpus=1,
+        )
         frames = res.to_pandas()
         return merge_topk(frames, k)
 
@@ -243,8 +225,8 @@ class Searcher:
     ) -> pd.DataFrame:
         """Same results as ``search_ray`` but through a LAZILY-CREATED,
         CACHED QueryPool: repeat callers pay one RPC round instead of a
-        fresh Ray Data job + actor-pool spin-up (which re-loads segment
-        shards on every call).  This is the serving path — use it whenever
+        fresh Ray Data job (which re-loads segment shards on every
+        call).  This is the serving path — use it whenever
         the same Searcher answers more than one batch.
 
         Snapshot semantics (directory_reader analog): a Searcher pins the
@@ -416,8 +398,8 @@ _POOL_CLS_CACHE: dict = {}
 class QueryPool:
     """Persistent serving pool over one index generation: N raw Ray actors
     each caching a disjoint shard of segments (SURVEY §3.2 — the long-lived
-    alternative to per-call ``map_batches`` pools, which re-create actors and
-    re-load shards on every batch).  Query latency after warm-up is one RPC
+    alternative to per-call ``map_batches`` tasks, which re-load shards on
+    every batch).  Query latency after warm-up is one RPC
     round to the pool."""
 
     def __init__(

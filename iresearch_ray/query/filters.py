@@ -6,7 +6,7 @@ query protocol: ``prepare`` runs ONCE per query against index-global state
 (stats collection + multiterm expansion against the merged term dictionary —
 ref: multiterm_query.cpp / prepare() walking all segments), producing a
 JSON-able physical *plan* that per-segment executors evaluate independently
-(SURVEY §3.2: the driver prepares, SegmentSearcher actors execute).
+(SURVEY §3.2: the driver prepares, per-segment tasks or pool actors execute).
 
 Pinned scoring decisions (recorded per SURVEY §0 ⚠ convention):
 - multiterm expansion scores the top ``scored_terms_limit`` (default 1024)

@@ -1,17 +1,19 @@
-"""SegmentSearcher — the stateful query actor (SURVEY.md §3.2).
+"""Per-segment query work — the map function of ``Searcher.search_ray``
+(SURVEY.md §3.2).
 
-A callable class for ``map_batches(SegmentSearcher, concurrency=N)``: segment
-tables are opened lazily and cached per actor (the load-once-per-worker
-mmap-shard analog — ref: core/store/fs_directory.cpp refcounted handles), so
-repeated queries against the same shard pay the Parquet read once.  Work
-units are (segment_dir, query_id, plan, k) rows; output is the per-segment
-top-k (query_id, conv_id, turn_idx, score).
+``search_batch_task`` runs one batch of (seg_dir, query_id, plan, k, wand)
+work items as a Ray task in a prestarted worker process: no actor spawn or
+import before the first posting block is read.  Segment readers, parsed
+plans and deleted-doc masks are opened lazily and shared within the call
+only — work items are grouped one segment × all queries per batch, so a
+cross-batch cache would never hit.  Output is the per-segment top-k
+(query_id, conv_id, turn_idx, score).
 """
 
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
+import os
 
 import pyarrow as pa
 
@@ -31,120 +33,57 @@ RESULT_SCHEMA = pa.schema(
 def search_batch_task(
     batch: pa.Table, *, tombstones_json: str = "", index_dir: str = "", crypto=None
 ) -> pa.Table:
-    """Stateless task-pool variant of :class:`SegmentSearcher` for one-shot
-    cold batches: readers are built fresh inside the task (identical cold
-    I/O), but the task runs in a prestarted Ray worker process — no actor
-    spawn/import before the first posting block is read.  Work items are
-    grouped one-segment × all-queries per batch, so an actor's cross-batch
-    reader cache would never hit on this path anyway."""
-    return SegmentSearcher(
-        tombstones_json=tombstones_json, index_dir=index_dir, crypto=crypto
-    )(batch)
+    """Per-segment top-k of every work item in ``batch``.  Tombstones,
+    index_dir and crypto ship once per call (fn_kwargs) instead of per item;
+    tombstone entries are pre-normalized scoped dicts ({"file", "segments"})
+    so the deleted mask honors per-segment delete scope."""
+    from iresearch_ray.state.meter import cpu_mark, report_since
 
+    mk = cpu_mark()
+    readers: dict[str, SegmentReader] = {}
+    plans: dict[str, dict] = {}
+    masks: dict[str, object] = {}
 
-class SegmentSearcher:
-    """Actor-pool callable; ``max_cached_segments`` bounds per-actor memory
-    (LRU eviction) so a pool can serve an index wider than worker heap."""
+    def reader(seg_dir: str) -> SegmentReader:
+        if seg_dir not in readers:
+            # a worker's posting-cache budget, split across the readers a
+            # wide batch may open
+            readers[seg_dir] = SegmentReader(
+                seg_dir,
+                cache_bytes=max(8 << 20, SegmentReader.POSTING_CACHE_BYTES // 64),
+                crypto=crypto,
+            )
+        return readers[seg_dir]
 
-    def __init__(self, max_cached_segments: int = 64,
-                 tombstones_json: str = "", index_dir: str = "", crypto=None):
-        self._readers: OrderedDict[str, SegmentReader] = OrderedDict()
-        self._max = max_cached_segments
-        self._plan_cache: dict[str, dict] = {}
-        self._tomb_cache: dict[str, set] = {}
-        self._mask_cache: dict[tuple, object] = {}
-        # shipped once per actor (constructor) instead of per work item
-        self._tombs_json = tombstones_json or ""
-        self._index_dir = index_dir or ""
-        self._crypto = crypto
-
-    def _deleted(self, seg_dir: str, index_dir: str, tombstones_json: str):
-        """Per-(segment, tombstone-list) deleted mask, cached per actor.
-        Entries are pre-normalized scoped dicts ({"file", "segments"}) so the
-        mask honors per-segment delete scope (update = delete + re-insert)."""
+    def deleted(seg_dir: str):
         if not tombstones_json:
             return None
-        import os
-
-        seg_name = os.path.basename(seg_dir.rstrip("/"))
-        key = (seg_dir, tombstones_json)
-        if key in self._mask_cache:
-            return self._mask_cache[key]
-        tkey = (tombstones_json, seg_name)
-        keys = self._tomb_cache.get(tkey)
-        if keys is None:
-            from iresearch_ray.pipelines.delete import load_tombstone_keys
+        if seg_dir not in masks:
+            from iresearch_ray.pipelines.delete import deleted_doc_mask, load_tombstone_keys
 
             keys = load_tombstone_keys(
                 index_dir,
                 {"tombstones": json.loads(tombstones_json), "segments": []},
-                for_segment=seg_name,
+                for_segment=os.path.basename(seg_dir.rstrip("/")),
             )
-            self._tomb_cache[tkey] = keys
-        from iresearch_ray.pipelines.delete import deleted_doc_mask
+            masks[seg_dir] = deleted_doc_mask(reader(seg_dir), keys)
+        return masks[seg_dir]
 
-        mask = deleted_doc_mask(self._reader(seg_dir), keys)
-        self._mask_cache[key] = mask
-        return mask
-
-    def _reader(self, seg_dir: str) -> SegmentReader:
-        r = self._readers.get(seg_dir)
-        if r is None:
-            # per-actor posting-cache budget split across the cached shard
-            # readers (ephemeral Dataset-job actors hold up to _max readers;
-            # the full per-reader default would multiply past worker heaps)
-            r = SegmentReader(
-                seg_dir,
-                cache_bytes=max(8 << 20, SegmentReader.POSTING_CACHE_BYTES // self._max),
-                crypto=self._crypto,
-            )
-            self._readers[seg_dir] = r
-            if len(self._readers) > self._max:
-                self._readers.popitem(last=False)
-        else:
-            self._readers.move_to_end(seg_dir)
-        return r
-
-    def _plan(self, plan_json: str) -> dict:
-        p = self._plan_cache.get(plan_json)
-        if p is None:
-            p = json.loads(plan_json)
-            if len(self._plan_cache) > 256:
-                self._plan_cache.clear()
-            self._plan_cache[plan_json] = p
-        return p
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from iresearch_ray.state.meter import cpu_mark, report_since
-
-        mk = cpu_mark()
-        out: list[pa.Table] = []
-        seg_dirs = batch["seg_dir"].to_pylist()
-        qids = batch["query_id"].to_pylist()
-        plans = batch["plan"].to_pylist()
-        ks = batch["k"].to_pylist()
-        wands = batch["wand"].to_pylist()
-        idx_dirs = (
-            batch["index_dir"].to_pylist()
-            if "index_dir" in batch.column_names
-            else [self._index_dir] * len(seg_dirs)
+    out: list[pa.Table] = []
+    for seg_dir, qid, plan_json, k, wand in zip(
+        batch["seg_dir"].to_pylist(),
+        batch["query_id"].to_pylist(),
+        batch["plan"].to_pylist(),
+        batch["k"].to_pylist(),
+        batch["wand"].to_pylist(),
+    ):
+        if plan_json not in plans:
+            plans[plan_json] = json.loads(plan_json)
+        t = segment_topk(
+            reader(seg_dir), plans[plan_json], int(k), bool(wand), deleted=deleted(seg_dir)
         )
-        tombs = (
-            batch["tombstones"].to_pylist()
-            if "tombstones" in batch.column_names
-            else [self._tombs_json] * len(seg_dirs)
-        )
-        for seg_dir, qid, plan_json, k, wand, idx_dir, tj in zip(
-            seg_dirs, qids, plans, ks, wands, idx_dirs, tombs
-        ):
-            t = segment_topk(
-                self._reader(seg_dir),
-                self._plan(plan_json),
-                int(k),
-                bool(wand),
-                deleted=self._deleted(seg_dir, idx_dir, tj),
-            )
-            t = pa.table(
+        out.append(
+            pa.table(
                 {
                     "query_id": pa.array([qid] * t.num_rows, pa.string()),
                     "conv_id": t["conv_id"].cast(pa.string()),
@@ -152,8 +91,8 @@ class SegmentSearcher:
                     "score": t["score"],
                 }
             )
-            out.append(t)
-        report_since("query", mk)
-        if not out:
-            return RESULT_SCHEMA.empty_table()
-        return pa.concat_tables(out).cast(RESULT_SCHEMA)
+        )
+    report_since("query", mk)
+    if not out:
+        return RESULT_SCHEMA.empty_table()
+    return pa.concat_tables(out).cast(RESULT_SCHEMA)

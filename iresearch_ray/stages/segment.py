@@ -737,7 +737,7 @@ def write_segment(
 class SegmentReader:
     """Point-in-time reader over one segment dir (ref:
     core/index/segment_reader.hpp).  Loads terms/docs tables lazily and keeps
-    them cached — intended to live inside a SegmentSearcher actor so the load
+    them cached — a QueryPool actor keeps its shard's readers so the load
     happens once per worker (SURVEY §3.2)."""
 
     # decoded-postings cache budget per reader (hot terms decode once —

@@ -225,7 +225,7 @@ def encode_bmp(px: np.ndarray, bpp: int = 24, rle: bool = False,
         if rle:
             comp = 1
             out = bytearray()
-            for row in idx[::-1] if False else idx:
+            for row in idx:
                 x = 0
                 while x < w:
                     run = 1

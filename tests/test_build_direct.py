@@ -1,5 +1,5 @@
-"""build_index_direct (two-stage hash exchange) — equivalence with the
-Dataset-groupby build and resume semantics."""
+"""The build's two-stage hash exchange — Parquet and Dataset sources build
+identical segments; resume, append and verify semantics."""
 
 import json
 import os
@@ -20,11 +20,13 @@ def corpus(tmp_path_factory, ray_session):
     return d
 
 
-def test_direct_equals_groupby(corpus, tmp_path):
+def test_parquet_source_equals_dataset_source(corpus, tmp_path):
+    import ray.data as rd
+
     files = [os.path.join(corpus, f) for f in sorted(os.listdir(corpus)) if f.endswith(".parquet")]
     a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
     ma = build_index(files, a_dir, num_partitions=5, resume=False)
-    mb = build_index_direct(files, b_dir, num_partitions=5, resume=False)
+    mb = build_index(rd.read_parquet(files), b_dir, num_partitions=5, resume=False)
     assert ma["metrics"]["docs_count"] == mb["metrics"]["docs_count"]
     assert sorted(s["name"] for s in ma["segments"]) == sorted(
         s["name"] for s in mb["segments"]
@@ -39,6 +41,31 @@ def test_direct_equals_groupby(corpus, tmp_path):
         ra = a.search_local(f, k=25).reset_index(drop=True)
         rb = b.search_local(f, k=25).reset_index(drop=True)
         assert ra.equals(rb), f
+
+
+@pytest.mark.parametrize("kind", ["parquet", "dataset"])
+def test_more_partitions_than_groups(kind, tmp_path, ray_session):
+    """P far above the number of non-empty partitions: the commit succeeds,
+    docs_count is exact, and no empty segment is written."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    tbl = pa.Table.from_pylist(
+        [{"conv_id": f"c{i}", "turn_idx": t, "text": f"alpha w{i:03d}", "role": "user", "tool": None}
+         for i in range(3) for t in range(4)]
+    )
+    pq.write_table(tbl, str(tmp_path / "t.parquet"))
+    src = str(tmp_path / "t.parquet") if kind == "parquet" else rd.from_arrow(tbl)
+    d = str(tmp_path / "idx")
+    m = build_index(src, d, num_partitions=64, resume=False)
+    assert m["docs_count"] == m["metrics"]["docs_count"] == tbl.num_rows
+    assert 1 <= len(m["segments"]) <= 3
+    assert all(s["docs_count"] > 0 for s in m["segments"])
+    assert sorted(os.listdir(os.path.join(d, "segments"))) == sorted(
+        s["name"] for s in m["segments"]
+    )
+    assert len(Searcher(d).search_local(F.Term("text", "alpha"), k=50)) == tbl.num_rows
 
 
 def test_direct_resume_skips_done(corpus, tmp_path):

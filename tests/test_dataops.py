@@ -5,6 +5,7 @@ import hashlib
 
 import duckdb
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -990,3 +991,44 @@ ORDER BY doc_id
         head, tail = full.idxmax(), full.idxmin()
         if full[head] > full[tail]:
             assert frac[tail] >= frac[head]
+
+
+def test_temperature_sample_rounds_half_away_like_sql(ray_session):
+    """q = 2.5e-6 is an exact 6-decimal tie: SQL ROUND gives 3e-6 (half away
+    from zero), np.round 2e-6 (half even).  A row whose hash falls between
+    the two thresholds must survive, as it does in the DuckDB oracle."""
+    mod, mult = 1 << 32, 2654435761
+    inv = pow(mult, -1, mod)
+    # doc ids with chosen knuth hashes: kept by both rules, kept only under
+    # half-away rounding (2e-6*2^32 <= h < 3e-6*2^32), dropped by both
+    hashes = [100, 10_000, 20_000] + [mod // 2 + i for i in range(37)]
+    tbl = pa.table({
+        "doc_id": pa.array([h * inv % mod for h in hashes], pa.int64()),
+        "lang": ["xx"] * len(hashes),
+    })
+    rate = 2.5e-6
+    out = ops.temperature_sample(_ds(tbl, ray_session), by="lang", alpha=0.5, rate=rate)
+    got = sorted(out.to_pandas()["doc_id"].tolist())
+    con = duckdb.connect()
+    con.register("documents", tbl)
+    oracle = con.sql(
+        f"""
+WITH c AS (SELECT lang, count(*)::DOUBLE AS n FROM documents GROUP BY lang),
+w AS (SELECT lang, n, pow(n, 0.5) AS pw FROM c),
+tot AS (SELECT sum(pw) AS s, sum(n) AS nt FROM w),
+q AS (SELECT lang,
+             CAST(floor(round(least(1.0, ({rate} * tot.nt) * (pw / tot.s) / n), 6)
+                        * 4294967296) AS HUGEINT) AS lim
+      FROM w, tot)
+SELECT d.doc_id FROM documents d JOIN q USING (lang)
+WHERE ((d.doc_id % 4294967296)::HUGEINT * 2654435761) % 4294967296 < q.lim
+ORDER BY doc_id
+        """
+    ).df()["doc_id"].tolist()
+    assert got == oracle == sorted(tbl["doc_id"].to_pylist()[:2])
+
+
+def test_temperature_sample_null_stratum_fails_fast(ray_session):
+    tbl = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()), "lang": ["en", None, "fr"]})
+    with pytest.raises(ValueError, match="1 rows have a null 'lang'"):
+        ops.temperature_sample(_ds(tbl, ray_session), by="lang")

@@ -17,9 +17,11 @@ import pyarrow.parquet as pq
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run_job(args, env_extra=None):
-    env = dict(os.environ, RAY_ADDRESS="local", PYTHONPATH=REPO)
-    env.update(env_extra or {})
+def _run_job(args, ray_address="local"):
+    env = dict(os.environ, PYTHONPATH=REPO)
+    env.pop("RAY_ADDRESS", None)
+    if ray_address is not None:
+        env["RAY_ADDRESS"] = ray_address
     out = subprocess.run(
         [sys.executable, os.path.join(REPO, "tools", "job_build.py"), *args],
         capture_output=True,
@@ -50,3 +52,20 @@ def test_job_build_and_consolidate(tmp_path):
     # rebuild (completed partitions skipped via lineage), same doc count
     m2 = _run_job(["--src", src, "--out", idx, "--partitions", "4"])
     assert m2["docs"] == m["docs"]
+
+
+def test_job_build_without_ray_address(tmp_path):
+    """Standalone run: with RAY_ADDRESS unset the script starts its own
+    session instead of failing to find a cluster."""
+    from iresearch_ray.sources.transcripts import write_transcripts
+
+    src = str(tmp_path / "src")
+    write_transcripts(src, n_convs=20)
+    n_rows = sum(
+        pq.read_metadata(os.path.join(src, f)).num_rows
+        for f in os.listdir(src)
+        if f.endswith(".parquet")
+    )
+    m = _run_job(["--src", src, "--out", str(tmp_path / "idx"), "--partitions", "2"],
+                 ray_address=None)
+    assert m["job"] == "build" and m["docs"] == n_rows

@@ -157,25 +157,3 @@ def test_sloppy_phrase_vs_brute(idx):
     for terms, slop in [(("the", "a"), 2), (("agent", "error"), 4), (("the", "a", "the"), 1)]:
         got = s.search_local(F.Phrase("text", terms, slop=slop), k=100_000)
         assert set(zip(got["conv_id"], got["turn_idx"])) == brute(terms, slop), (terms, slop)
-
-
-def test_actor_segment_cache_eviction(idx, ray_session):
-    """SegmentSearcher LRU keeps serving correctly when the per-actor cache
-    is smaller than the index (max_cached_segments < segments)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from iresearch_ray.stages.searcher import SegmentSearcher
-
-    d, _ = idx
-    s = Searcher(d)
-    plan = __import__("json").dumps(s.prepare(F.Term("text", "the")).plan)
-    items = [
-        {"seg_dir": sd, "query_id": "q", "plan": plan, "k": 10, "wand": True}
-        for sd in s.seg_dirs * 3  # revisit each segment repeatedly
-    ]
-    actor = SegmentSearcher(max_cached_segments=1)
-    out = actor(pa.Table.from_pylist(items))
-    exp = actor(pa.Table.from_pylist(items))  # second pass after evictions
-    assert out.equals(exp)
-    assert len(actor._readers) == 1  # cache stayed bounded

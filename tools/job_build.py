@@ -9,9 +9,9 @@ driven through the job API:
         --partitions 256 --consolidate tier --gc
 
 Unlike the library (which NEVER calls ray.init — the caller owns the
-session), a submitted job owns its driver process, so this script connects
-to the hosting cluster with ``ray.init(address="auto")`` — the job runtime
-injects RAY_ADDRESS.  Build resume is on by default: re-submitting the same
+session), a submitted job owns its driver process, so this script calls
+``ray.init()``: the job runtime injects RAY_ADDRESS, which points it at the
+hosting cluster; without it a standalone run starts a local session.  Build resume is on by default: re-submitting the same
 job after a partial failure skips completed partitions via the per-partition
 lineage in the manifest (the checkpoint/resume contract `build_index`
 already implements), so a crashed job is re-run, not repaired by hand.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -53,7 +52,7 @@ def main(argv: list | None = None) -> int:
         # inside a submitted job RAY_ADDRESS points at the hosting cluster;
         # standalone runs fall back to a local session so the script is
         # drivable everywhere
-        ray.init(address=os.environ.get("RAY_ADDRESS", "auto"), include_dashboard=False)
+        ray.init(include_dashboard=False)
 
     from iresearch_ray import build_index
     from iresearch_ray.pipelines.build import append_index

@@ -1,7 +1,7 @@
 """10M-turn single-shot scale smoke (results recorded in BASELINE.md).
 
 Generates a ~10M-turn deterministic transcript corpus in parallel (cached
-under /tmp/ire_bench), builds the index with the direct hash-exchange plan,
+under /tmp/ire_bench), builds the index (the hash-exchange build_index),
 runs a FULL epoch compaction (tier repeat=True — deliberately extreme: it
 collapses 128 segments to 1), and serves a warm query.  Owns its Ray
 session.  Usage: python tools/scale_smoke.py
@@ -19,7 +19,7 @@ import ray
 ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
 import pyarrow.parquet as pq
 
-from iresearch_ray.pipelines.build import build_index_direct
+from iresearch_ray.pipelines.build import build_index
 from iresearch_ray.pipelines.consolidate import consolidate
 from iresearch_ray import Searcher
 from iresearch_ray.query import filters as F
@@ -86,7 +86,7 @@ print(f"SMOKE warm (untimed, disclosed): {round(time.time() - t0, 1)}s "
       f"({_n} x 256MB faulted, store {_store // 1024**3} GB)")
 
 t0 = time.time()
-m = build_index_direct(files, idx, num_partitions=128, resume=False)
+m = build_index(files, idx, num_partitions=128, resume=False)
 bsecs = time.time() - t0
 print(f"SMOKE build: {turns} turns in {round(bsecs,1)}s = {round(turns/bsecs,0)} turns/s")
 assert m["metrics"]["docs_count"] == turns
