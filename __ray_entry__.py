@@ -1323,12 +1323,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def emb_knn_labels(sf):
         """k-NN classification flavor: label histogram of each query's
         top-20 cosine neighbors (excluding self)."""
-        out = ops.embedding_topk(_emb_ds(sf), _qmat(sf), k=21).to_pandas()
-        t = pq.read_table(f"{sf}/embeddings.parquet")
-        labels = dict(zip(t["vec_id"].to_pylist(), t["label"].to_pylist()))
+        top = ops.embedding_topk(_emb_ds(sf), _qmat(sf), k=21)
+        labels = _emb_ds(sf).select_columns(["vec_id", "label"])
+        out = top.join(labels, "inner", num_partitions=4, on=("vec_id",)).to_pandas()
         out = out[out["vec_id"] != out["query_idx"]]
         out = out.sort_values(["query_idx", "rank"]).groupby("query_idx").head(20)
-        out["label"] = out["vec_id"].map(labels)
         hist = (
             out.groupby(["query_idx", "label"]).size().reset_index(name="cnt")
         )

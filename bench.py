@@ -12,10 +12,11 @@ num_cpus=$RAY_GRAFT_CPUS or 32):
   dataops    exact dedup + minhash near-dup + quality over documents;
              brute-force cosine top-k over embeddings
 
---scaling: runs the SAME build job in two fresh processes
-(num_cpus=8 then num_cpus=32) on the same pre-generated corpus and reports
-both throughputs + efficiency = (thr32/thr8)/(32/8); the sandbox stand-in
-for the N vs 4N node criterion (SURVEY §4.1), recorded in BENCH/BASELINE.md.
+--scaling: runs the SAME build job (the x4 corpus, 128 partitions) in two
+fresh processes, num_cpus=2 then num_cpus=8, and prints one JSON line with
+efficiency = (thr8/thr2)/(8/2), both build times and each leg's in-task
+user/sys CPU; the single-box stand-in for the N vs 4N node criterion
+(SURVEY §4.1).  It writes no file.
 
 Owns its Ray session (the ONLY script here that calls ray.init).
 """
@@ -31,17 +32,14 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-# Worker arena pre-fault budget: per-worker MB sized so the FLEET faults at
-# most ~8 GB during the untimed warm (round-4: 64 workers x 512 MB = 32 GB
-# of burst faulting tripped the host's reclaim and collapsed the fault path
-# mid-run; 2-16 workers x 512 MB never did).  Workers inherit the env from
-# the driver that ray.init()s.  Explicit IRESEARCH_PREFAULT_MB always wins.
-os.environ.setdefault(
-    "IRESEARCH_PREFAULT_MB", str(max(64, min(512, 8192 // (NUM_CPUS * 2))))
-)
 CORPUS_ROOT = "/tmp/ire_bench/corpus"
 INDEX_ROOT = "/tmp/ire_bench/idx"
 SCALING_MULTIPLIER = int(os.environ.get("GRAFT_SCALING_MULT", "4"))
+# 64 keeps consolidate's merge-tree depth comparable across rounds; the
+# scaling legs use 128 so the 8-worker leg's straggler tail stays small
+HEADLINE_PARTITIONS = 64
+SCALING_PARTITIONS = 128
+SCALING_CPUS = (2, 8)
 
 QUERY_SET = [
     ("term_hot", lambda F: F.Term("text", "the")),
@@ -103,14 +101,11 @@ def ensure_corpus(sf_dir: str, multiplier: int = 1) -> str:
 
 
 def _warm_cluster() -> float:
-    """One-time cluster warm: start every worker, fault each worker's retained
-    heap, and fault the object-store arena the run will use.
-
-    On the benchmark VM first-touch page faults are served by a slow VMM path
-    (measured 0.2–2 GB/s vs >20 GB/s for re-used pages — see
-    iresearch_ray/runtime.py); a production cluster pays this once at
-    provision time, so the bench warms once and measures the engine, not the
-    host's fault handler.  Warm time is reported, never hidden.
+    """One-time cluster warm: start every worker (importing the package
+    applies allocator retention there, see iresearch_ray/runtime.py) and
+    touch the object-store arena the run will use, so the timed stages
+    measure the engine rather than worker start-up.  A long-lived cluster
+    pays this once; warm time is reported, never hidden.
     """
     import numpy as np
 
@@ -120,26 +115,24 @@ def _warm_cluster() -> float:
 
     @ray.remote(num_cpus=1)
     def _warm() -> int:
-        # importing the package tunes + prefaults this worker (runtime.py)
+        # importing the package applies allocator retention (runtime.py)
         import iresearch_ray  # noqa: F401
 
         return 0
 
     t0 = time.perf_counter()
     ray.get([_warm.remote() for _ in range(NUM_CPUS * 2)])
-    # fault ~4 GB of plasma pages; dlmalloc inside the store reuses them
-    refs = [ray.put(np.empty(256 * 1024 * 1024 // 8)) for _ in range(16)]
+    # touch up to 4 GB of plasma pages (at most half the store, so a small
+    # session never spills); dlmalloc inside the store reuses them
+    chunk = 256 * 1024 * 1024
+    store = ray.cluster_resources().get("object_store_memory", 0)
+    n_chunks = max(1, min(16, int(store / 2) // chunk))
+    refs = [ray.put(np.empty(chunk // 8)) for _ in range(n_chunks)]
     del refs
     return time.perf_counter() - t0
 
 
-def bench_build(corpus: str, num_partitions: int | None = None) -> dict:
-    if num_partitions is None:
-        # 64 for the headline run (keeps consolidate's merge-tree depth and
-        # cross-round comparability); the scaling campaign pins 128 via env
-        # for every leg — finer quanta shrink the 8-worker straggler tail
-        # (a half task per worker of tail was ~6% of that leg at 64 parts)
-        num_partitions = int(os.environ.get("GRAFT_BUILD_PARTS", "64"))
+def bench_build(corpus: str, num_partitions: int = HEADLINE_PARTITIONS) -> dict:
     import pyarrow.parquet as pq
 
     import ray
@@ -322,130 +315,34 @@ def bench_dataops(sf_dir: str) -> dict:
     return res
 
 
-def _stage_vector(b: dict, c: dict, q: dict, d: dict) -> dict:
-    """Compact per-pass stage walls for the detail.passes disclosure."""
-    return {
-        "build_index": round(b["secs"], 3),
-        "query_batch": round(q["dataset_batch_secs"], 3),
-        "query_batch_warm": round(q["batch_secs"], 3),
-        "consolidate": round(c["secs"], 3),
-        "dedup": round(d["dedup_secs"], 3),
-        "minhash": round(d["minhash_secs"], 3),
-        "quality": round(d["quality_secs"], 3),
-        "emb_topk": round(d["emb_topk_secs"], 3),
-        "build_user_secs": b.get("cpu", {}).get("user_secs"),
-        "build_sys_secs": b.get("cpu", {}).get("sys_secs"),
-        "consolidate_user_secs": c.get("user_secs"),
-        "consolidate_sys_secs": c.get("sys_secs"),
-    }
-
-
-def _one_pass(corpus: str) -> tuple[dict, dict, dict, dict, dict]:
+def _one_pass(corpus: str) -> tuple[dict, dict, dict, dict]:
     """One full stage sweep inside an already-init'd Ray session; returns
-    (b, c, q, d, probes)."""
+    (build, consolidate, query, dataops) records."""
     from iresearch_ray.state.meter import read_meter
 
-    # host probes BETWEEN stages (r3 review: a start/end pair can miss a
-    # mid-run phase flip); 64 MB keeps a degraded-phase probe subsecond-ish
-    probes = {}
     b = bench_build(corpus)
     b["cpu"] = read_meter().get("build", {})
-    probes["after_build"] = _probe_once(64).get("fault_gbps")
-    # host-settle between stages (disclosed, untimed): this VM's host
-    # reclaim reacts to the build's allocation burst by collapsing the
-    # fault path for ~10-60 s (probes read 0.01 GB/s right after build,
-    # then RECOVER to 5-7 GB/s) — without the settle, consolidate pays
-    # the previous stage's host fallout, which the per-task user/sys
-    # split proved is not engine work.  Real clusters don't co-schedule
-    # stages on a reclaim-thrashing host; settle time is reported.
-    settle = _settle()
-    probes["settle_secs"] = settle["secs"]
-    probes["post_settle_gbps"] = settle["gbps"]
     c = bench_consolidate(b["index_dir"])
-    probes["after_consolidate"] = _probe_once(64).get("fault_gbps")
     q = bench_query(b["index_dir"])
-    probes["after_query"] = _probe_once(64).get("fault_gbps")
     d = bench_dataops(SF_DIR)
-    return b, c, q, d, probes
+    return b, c, q, d
 
 
-def _pass_degraded(b: dict, c: dict, probes: dict) -> str | None:
-    """Detect the measured host-noise signature on a finished pass.  Two
-    independent instruments (r3 review #1): collapsed first-touch fault
-    bandwidth at a stage boundary, or in-task SYSTEM time rivaling USER
-    time (fault handling inside the kernel; engine work is user time)."""
-    vals = [v for k, v in probes.items() if k.startswith("after_") and v]
-    if vals and min(vals) < 1.0:
-        return f"stage-boundary fault probe {min(vals):.2f} GB/s"
-    bu, bs = b.get("cpu", {}).get("user_secs"), b.get("cpu", {}).get("sys_secs")
-    if bu and bs and bs > 0.6 * bu:
-        return f"build in-task sys {bs:.1f}s vs user {bu:.1f}s"
-    cu, cs = c.get("user_secs"), c.get("sys_secs")
-    # quiet-host consolidate tasks carry a ~1.4-2.6 s sys FLOOR (reads,
-    # parquet writes, mmap) against only ~1.8 s user, so a pure ratio test
-    # false-flags quiet runs; require the ratio AND an absolute excess
-    if cu and cs and cs > 0.8 * cu and cs > 4.0:
-        return f"consolidate in-task sys {cs:.1f}s vs user {cu:.1f}s"
-    return None
-
-
-def run_full(max_passes: int | None = None) -> dict:
-    if max_passes is None:
-        # 3: a degraded pass settles and re-runs up to twice more (early
-        # exit as soon as a pass reads clean) — on a host whose phantom
-        # load arrives in multi-minute storms, two passes often both land
-        # inside one storm; all passes are disclosed in detail.passes
-        max_passes = int(os.environ.get("IRE_BENCH_PASSES", "3"))
+def run_full() -> dict:
     import ray
 
-    probe_start = dict(_probe_once())
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False, logging_level="ERROR")
     try:
         from iresearch_ray.state.meter import start_meter
 
         start_meter()
-        corpus = ensure_corpus(SF_DIR)
-        # untimed, disclosed initial settle: when the bench LAUNCHES inside
-        # a host phantom-load phase, waiting (bounded) for the fault path
-        # to recover measures the engine instead of the storm's tail
-        init_settle = _settle(max_secs=120.0)
-        b, c, q, d, probes = _one_pass(corpus)
-        probes["initial_settle_secs"] = init_settle["secs"]
-        probes["initial_settle_gbps"] = init_settle["gbps"]
-        # noise-gated second pass (min-estimator protocol, BASELINE.md):
-        # the host's additive phantom load can only INFLATE a stage, so when
-        # pass 1 carries the measured noise signature, settle and re-run the
-        # identical sweep; per-stage minima estimate the engine's cost.
-        # Both passes are reported verbatim in detail.passes.
-        pass_log = [_stage_vector(b, c, q, d)]
-        noise_reason = _pass_degraded(b, c, probes)
-        npass = 1
-        while noise_reason and npass < max_passes:
-            _settle(max_secs=90.0)
-            b2, c2, q2, d2, probes2 = _one_pass(corpus)
-            pass_log.append(_stage_vector(b2, c2, q2, d2))
-            # keep, per stage, the faster pass's full record
-            if c2["secs"] < c["secs"]:
-                c = c2
-            if q2["dataset_batch_secs"] < q["dataset_batch_secs"]:
-                q = q2
-            for kk in ("dedup_secs", "minhash_secs", "quality_secs",
-                       "emb_topk_secs", "simhash_secs", "fingerprints_secs"):
-                if d2[kk] < d[kk]:
-                    d[kk] = d2[kk]
-            if b2["secs"] < b["secs"]:
-                b = b2
-            probes = {**probes, **{f"p2_{k}": v for k, v in probes2.items()}}
-            npass += 1
-            if not _pass_degraded(b2, c2, probes2):
-                break
+        b, c, q, d = _one_pass(ensure_corpus(SF_DIR))
     finally:
         ray.shutdown()
     queries = {
         "build_index": round(b["secs"], 3),
-        # r1-name continuity: query_batch = COLD Ray-Data actor-pool batch
-        # (what r1 reported); the warm pooled cache-miss batch (r2's
-        # "query_batch") is query_batch_warm
+        # r1-name continuity: query_batch = COLD Ray-Data batch (what r1
+        # reported); the warm pooled cache-miss batch is query_batch_warm
         "query_batch": round(q["dataset_batch_secs"], 3),
         "query_batch_warm": round(q["batch_secs"], 3),
         "consolidate": round(c["secs"], 3),
@@ -454,10 +351,9 @@ def run_full(max_passes: int | None = None) -> dict:
         "quality": round(d["quality_secs"], 3),
         "emb_topk": round(d["emb_topk_secs"], 3),
     }
-    total = sum(queries.values())
     return {
         "metric": "headline pipeline wall seconds (index build + BM25 top-k + consolidation + curation ops)",
-        "value": round(total, 3),
+        "value": round(sum(queries.values()), 3),
         "unit": "sec",
         "queries": queries,
         "sf": SF_DIR,
@@ -472,9 +368,9 @@ def run_full(max_passes: int | None = None) -> dict:
             "query_batch_dataset_secs": round(q["dataset_batch_secs"], 3),
             "query_batch_cached_secs": round(q["batch_cached_secs"], 3),
             "query_pool_cold_secs": round(q["pool_cold_secs"], 3),
-            # CPU-seconds channels (r3 review #1): process_time summed inside
-            # the stage's tasks.  Flat across wall-varying runs ⇒ host noise;
-            # tracking wall ⇒ engine work.
+            # CPU-seconds channels: process_time summed inside the stage's
+            # tasks.  Flat across wall-varying runs ⇒ host noise; tracking
+            # wall ⇒ engine work.
             "query_cpu": q.get("dataset_cpu"),
             "query_pool_cpu": q.get("pool_cpu"),
             "consolidate_cpu_secs": c.get("cpu_secs"),
@@ -483,50 +379,14 @@ def run_full(max_passes: int | None = None) -> dict:
             "consolidate_cpu_tasks": c.get("cpu_tasks"),
             "consolidate_rounds": c.get("rounds"),
             "consolidate_in_task_merge_secs": c.get("final_merge_secs"),
-            "host_fault_gbps_stages": probes,
-            # noise-gated repeat (min-estimator, BASELINE.md protocol):
-            # every executed pass's stage walls, verbatim, plus why a
-            # second pass fired (None = single clean pass)
-            "passes": pass_log,
-            "noise_repass_reason": noise_reason,
             "dataops_simhash_secs": round(d["simhash_secs"], 3),
             "dataops_fingerprints_secs": round(d["fingerprints_secs"], 3),
             "query_p50_local_ms": round(q["p50_local_ms"], 2),
             "query_p95_local_ms": round(q["p95_local_ms"], 2),
             "query_pool_p50_ms": round(q["pool_p50_ms"], 2),
             "query_pool_p95_ms": round(q["pool_p95_ms"], 2),
-            # honest host context: this microVM's first-touch page-fault
-            # bandwidth swings 0.03-10+ GB/s between phases (free-page
-            # reporting; see tools/host_probe.py + BASELINE.md protocol) and
-            # dominates run-to-run variance — record it at start AND end of
-            # every bench (phases flip mid-run)
-            "host_fault_gbps_start": probe_start.get("fault_gbps"),
-            "host_fault_gbps_end": _probe_once().get("fault_gbps"),
-            "host_reuse_gbps": _probe_once().get("reuse_gbps"),
         },
     }
-
-
-def _settle(min_gbps: float = 1.5, max_secs: float | None = None) -> dict:
-    """Wait (bounded) for the host fault path to recover; returns the time
-    spent and the final reading.  No-op when already healthy."""
-    if max_secs is None:
-        max_secs = float(os.environ.get("GRAFT_SETTLE_MAX", "90"))
-    t0 = time.perf_counter()
-    g = _probe_once(64).get("fault_gbps", 0.0) or 0.0
-    while g < min_gbps and time.perf_counter() - t0 < max_secs:
-        time.sleep(5)
-        g = _probe_once(64).get("fault_gbps", 0.0) or 0.0
-    return {"secs": round(time.perf_counter() - t0, 1), "gbps": g}
-
-
-def _probe_once(size_mb: int = 256) -> dict:
-    try:
-        from tools.host_probe import probe
-
-        return probe(size_mb)
-    except Exception:
-        return {}
 
 
 def _scale_child(cpus: int) -> None:
@@ -541,404 +401,60 @@ def _scale_child(cpus: int) -> None:
         corpus = ensure_corpus(SF_DIR, multiplier=SCALING_MULTIPLIER)
         global NUM_CPUS
         NUM_CPUS = cpus  # index dir per-cpus
-        b = bench_build(corpus)
+        b = bench_build(corpus, num_partitions=SCALING_PARTITIONS)
         bc = read_meter().get("build", {})
     finally:
         ray.shutdown()
-    # user_secs: summed in-task USER cpu — flat across legs/noise; sys_secs
-    # carries guest fault handling, so noise-hit legs are identifiable
     print(json.dumps({"cpus": cpus, "secs": b["secs"], "turns": b["turns"],
                       "thr": b["turns_per_sec"],
-                      "cpu_secs": round(bc.get("cpu_secs", 0.0), 2),
                       "user_secs": round(bc.get("user_secs", 0.0), 2),
                       "sys_secs": round(bc.get("sys_secs", 0.0), 2)}))
 
 
-def run_scaling(prereg: bool = False) -> dict:
-    """``prereg=True`` runs the PRE-REGISTERED fixed protocol (r4 review #5):
-    N=3 repeats, interleaved legs, ZERO retries, ZERO exclusions — every
-    pair is published and the campaign verdict is the MEDIAN pair, so no
-    selection machinery (min-estimator, retry, >1.0 exclusion) touches the
-    number.  The quiet-wait gate before each leg still applies (it decides
-    WHEN to run, never which samples to keep)."""
-    # pre-generate the corpus once so children only time the build
+def run_scaling() -> dict:
+    """The same build job at 2 and then 8 CPUs, each in a fresh process;
+    efficiency = (thr8/thr2)/(8/2)."""
     import ray
 
+    # pre-generate the corpus once so the children only time the build
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False, logging_level="ERROR")
     try:
         ensure_corpus(SF_DIR, multiplier=SCALING_MULTIPLIER)
     finally:
         ray.shutdown()
 
-    cpu_levels = [int(c) for c in os.environ.get(
-        "GRAFT_SCALE_CPUS", "2,8" if prereg else "2,8,32").split(",")]
-    repeats = 3 if prereg else int(os.environ.get("GRAFT_SCALE_REPEATS", "2"))
-    min_gbps = float(os.environ.get("GRAFT_SCALE_MIN_GBPS", "1.5"))
-    max_waits = int(os.environ.get("GRAFT_SCALE_MAX_WAITS", "10"))
-    # Protocol (r3 review #2): interleave the levels A/B/A/B in ONE session;
-    # GATE each repeat on the host fault-bandwidth probe (wait out degraded
-    # phases, up to a bound, then run anyway but mark the repeat); record
-    # BOTH estimators — per-level best (min-time: noise on this VM is
-    # strictly additive) for the headline, and the per-repeat pair
-    # efficiencies with their min, so a same-session pair is always on
-    # record alongside the optimistic pairing.
-    results = {}
-    pair_runs: list[dict] = []  # one entry per repeat: {cpus: result}
-    max_load = float(os.environ.get("GRAFT_SCALE_MAX_LOAD", "4"))
-    # storms arrive MID-campaign (r4 log: a rep passed its gate, then the
-    # 8-CPU leg recorded 59.6 s of in-task sys) — so gate before EVERY leg,
-    # and re-run a leg whose own instrument shows contamination (sys over
-    # the clean budget), up to a bound.  Retries are disclosed in the
-    # payload; the protocol stays min-estimator (noise is strictly
-    # additive, so a retried leg can only replace a WORSE reading).
-    leg_retries = 0 if prereg else int(os.environ.get("GRAFT_SCALE_LEG_RETRIES", "2"))
-    total_retries = 0
-
-    def _wait_quiet() -> bool:
-        for _ in range(max_waits):
-            pr = _probe_once(128)
-            g = pr.get("fault_gbps", 0.0) or 0.0
-            la1 = (pr.get("loadavg") or [99])[0]
-            # both gates: fault path healthy AND the box drained (a prior
-            # job's load inflates legs long after the fault probe recovers)
-            if g >= min_gbps and la1 <= max_load:
-                return True
-            time.sleep(60)
-        return False
-
-    def _leg_sys_dirty(r: dict) -> bool:
-        u, s = r.get("user_secs") or 0.0, r.get("sys_secs") or 0.0
-        return bool(u and (s > 0.5 * u or s > 10.0))
-
-    for rep in range(repeats):
-        rep_res = {}
-        for cpus in cpu_levels:
-            env = dict(os.environ, GRAFT_SF_DIR=SF_DIR)
-            # every leg must run the IDENTICAL job: pin one partition count
-            # for all children regardless of their cpu level
-            env.setdefault("GRAFT_BUILD_PARTS", "128")
-            # per-leg arena pre-fault under the fleet-wide ~8 GB budget
-            # (the child's module-level default would size for 32 cpus)
-            env.setdefault(
-                "IRESEARCH_PREFAULT_MB",
-                str(max(64, min(512, 8192 // (cpus * 2)))),
-            )
-            # retries only for the PRIMARY gate pair (first two levels):
-            # the 32-CPU leg is a disclosed secondary data point on this
-            # host (first-touch-fault-bound, see the header caveat) and
-            # re-running it mostly re-measures the storm it causes
-            n_retries = leg_retries if cpus in cpu_levels[:2] else 0
-            # keep the fastest CLEAN attempt when one exists; fall back to
-            # min-secs only if every attempt is instrument-dirty (ADVICE r4:
-            # the old min-secs-always rule could retain a dirty-but-faster
-            # reading over a clean retry, which on the HIGH leg inflates
-            # efficiency against the header's own doctrine)
-            attempts = []
-            for attempt in range(1 + n_retries):
-                degraded = not _wait_quiet()
-                out = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__), "--_scale_child", str(cpus)],
-                    capture_output=True,
-                    text=True,
-                    env=env,
-                    check=True,
-                )
-                line = [l for l in out.stdout.strip().splitlines() if l.startswith("{")][-1]
-                cand = json.loads(line)
-                cand["degraded_gate"] = degraded
-                cand["sys_dirty"] = _leg_sys_dirty(cand)
-                attempts.append(cand)
-                if not cand["sys_dirty"]:
-                    break
-                if attempt < n_retries:
-                    total_retries += 1
-            clean = [c for c in attempts if not c["sys_dirty"]]
-            r = min(clean or attempts, key=lambda c: c["secs"])
-            r["attempt_verdicts"] = [
-                {"secs": round(c["secs"], 3), "sys_dirty": c["sys_dirty"],
-                 "degraded_gate": c["degraded_gate"]}
-                for c in attempts
-            ]
-            rep_res[cpus] = r
-            if cpus not in results or r["secs"] < results[cpus]["secs"]:
-                results[cpus] = r
-        pair_runs.append(rep_res)
-
-    def eff(lo: int, hi: int) -> float:
-        return round((results[hi]["thr"] / results[lo]["thr"]) / (hi / lo), 3)
-
-    # primary N vs 4N pair = (2, 8): both well inside this VM's memory
-    # bandwidth, so the measurement isolates ENGINE scaling (a real 4N-node
-    # cluster adds bandwidth per node; a single box does not — the 8→32
-    # pair on this host is bandwidth-capped and reported as a secondary
-    # data point with that caveat in BENCH/BASELINE.md)
-    lo, hi = cpu_levels[0], cpu_levels[1]
-    # same-session pair efficiencies (each repeat's own lo+hi legs)
-    pair_effs = [
-        round((pr[hi]["thr"] / pr[lo]["thr"]) / (hi / lo), 3)
-        for pr in pair_runs
-        if lo in pr and hi in pr
-    ]
-    payload = {
-        "metric": f"index-build throughput scaling efficiency, {lo}\u2192{hi} CPUs (N vs 4N stand-in)",
-        "value": eff(lo, hi),
+    legs = {}
+    for cpus in SCALING_CPUS:
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--_scale_child", str(cpus)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, GRAFT_SF_DIR=SF_DIR),
+            check=True,
+        )
+        line = [l for l in out.stdout.strip().splitlines() if l.startswith("{")][-1]
+        legs[cpus] = json.loads(line)
+    lo, hi = SCALING_CPUS
+    return {
+        "metric": f"index-build throughput scaling efficiency, {lo}→{hi} CPUs (N vs 4N stand-in)",
+        "value": round((legs[hi]["thr"] / legs[lo]["thr"]) / (hi / lo), 3),
         "unit": "efficiency",
-        "queries": {
-            f"build_{c}cpu": round(r["secs"], 3) for c, r in results.items()
-        },
+        "queries": {f"build_{c}cpu": round(r["secs"], 3) for c, r in legs.items()},
         "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
         "detail": {
-            "turns": results[lo]["turns"],
-            **{f"turns_per_sec_{c}cpu": round(r["thr"], 1) for c, r in results.items()},
-            "efficiency_pairs": {
-                f"{a}->{b}": eff(a, b)
-                for a, b in zip(cpu_levels, cpu_levels[1:])
-            },
-            # per-repeat same-session pairs: min is the conservative
-            # estimator the r3 review demanded alongside the best pairing
-            "same_session_pair_effs": pair_effs,
-            "min_pair_eff": min(pair_effs) if pair_effs else None,
+            "turns": legs[lo]["turns"],
+            "partitions": SCALING_PARTITIONS,
             "per_leg_cpu": {
-                str(c): {"user_secs": r.get("user_secs"),
-                         "sys_secs": r.get("sys_secs")}
-                for c, r in results.items()
+                str(c): {"user_secs": r["user_secs"], "sys_secs": r["sys_secs"]}
+                for c, r in legs.items()
             },
-            "efficiency_gate": 0.8,
-            "leg_retries_used": total_retries,
         },
     }
-
-    # instrument verdict on the PRIMARY pair legs: first-touch fault storms
-    # land in guest SYSTEM time (BASELINE.md round-4), so a leg whose
-    # in-task sys exceeds half its user CPU measured a degraded host, not
-    # the engine — clean campaigns run ~0.3 s sys per leg.  The header
-    # rewrite must carry this verdict so a storm-hit LATEST run can never
-    # silently present itself as a capability measurement (r3 review: the
-    # header always shows the latest run).
-    def _leg_degraded(c: int) -> bool:
-        r = results.get(c, {})
-        u, s = r.get("user_secs") or 0.0, r.get("sys_secs") or 0.0
-        # ratio OR absolute budget: clean campaigns run ~0.3 s sys/leg and
-        # never above ~4.4 s; a freshly-booted (cold-page) host measured a
-        # 23.5 s-sys 8-CPU leg at only 0.30x user, sailing under the pure
-        # ratio test while costing ~0.2 of pair efficiency
-        return bool(u and (s > 0.5 * u or s > 10.0))
-
-    degraded_legs = [c for c in (lo, hi) if _leg_degraded(c)]
-    # low-leg PLAUSIBILITY check (ADVICE r4): the sys-CPU instrument cannot
-    # see user-time/steal degradation, and additive noise on the LOW leg
-    # RAISES measured efficiency.  The job is identical on both legs, so
-    # in-task USER CPU must be level-invariant (measured r4: 62.1 vs
-    # 63.4 s); a lo-leg user CPU >20% above the hi-leg's measured a
-    # contended host and the pair is not gate evidence.
-    u_lo = results.get(lo, {}).get("user_secs") or 0.0
-    u_hi = results.get(hi, {}).get("user_secs") or 0.0
-    user_imbalance = bool(u_lo and u_hi and u_lo > 1.2 * u_hi)
-    if user_imbalance and lo not in degraded_legs:
-        degraded_legs.append(lo)
-    payload["detail"]["instrument_degraded_legs"] = degraded_legs
-    payload["detail"]["user_cpu_lo_hi"] = [round(u_lo, 1), round(u_hi, 1)]
-    payload["detail"]["user_imbalance_flag"] = user_imbalance
-    # the gate verdict is only a capability PASS when BOTH legs are clean
-    # (ADVICE r4: a flagged-leg campaign is a host-health data point on
-    # either side of 0.8 — low-leg noise inflates efficiency, so "flagged
-    # PASS = conservative lower bound" does not hold in general)
-    payload["detail"]["pass"] = bool(eff(lo, hi) >= 0.8 and not degraded_legs)
-    payload["detail"]["pass_if_clean"] = eff(lo, hi) >= 0.8
-    if prereg:
-        # pre-registered verdict: the MEDIAN of ALL same-session pairs, no
-        # sample ever discarded; instrument flags are disclosed alongside
-        # but do not edit the sample set
-        med = sorted(pair_effs)[len(pair_effs) // 2] if pair_effs else None
-        payload["metric"] = (
-            f"PRE-REGISTERED no-retry scaling campaign, {lo}→{hi} CPUs: "
-            "median of all same-session pairs (3 reps, interleaved legs, "
-            "zero retries, zero exclusions)"
-        )
-        payload["value"] = med
-        payload["detail"]["prereg"] = True
-        payload["detail"]["prereg_pairs"] = pair_effs
-        payload["detail"]["prereg_median"] = med
-        payload["detail"]["pass"] = bool(med is not None and med >= 0.8)
-    _record_scaling(payload, cpu_levels, results)
-    return payload
-
-
-_LOG_MARK = "## Measurement log"
-
-
-def _record_scaling(p: dict, cpu_levels: list[int], results: dict) -> None:
-    os.makedirs("BENCH", exist_ok=True)
-    rows = "\n".join(
-        f"| {c} CPUs | {round(results[c]['secs'], 3)} | {round(results[c]['thr'], 1)} |"
-        for c in cpu_levels
-    )
-    pairs = "\n".join(
-        f"- **{k}: {v}**" for k, v in p["detail"]["efficiency_pairs"].items()
-    )
-    # preserve the measurement-history section across rewrites — the header
-    # and table reflect only the LATEST run; the log is what the
-    # min-estimator protocol (BASELINE.md) reads across sessions
-    prior_log = ""
-    try:
-        old = open("BENCH/BASELINE.md").read()
-        if _LOG_MARK in old:
-            prior_log = old.split(_LOG_MARK, 1)[1].lstrip("\n")
-    except FileNotFoundError:
-        pass
-    thr_line = ", ".join(
-        f"{c}cpu {round(results[c]['thr'] / 1000, 1)}k/s"
-        + (f" cpu{round(results[c]['cpu_secs'], 0):g}s" if results[c].get("cpu_secs") else "")
-        for c in cpu_levels
-    )
-    pe = p["detail"].get("same_session_pair_effs") or []
-    pe_str = f" pairs={pe} min={p['detail'].get('min_pair_eff')}" if pe else ""
-    deg = p["detail"].get("instrument_degraded_legs") or []
-
-    def _deg_reason(c: int) -> str:
-        r = results.get(c, {})
-        u, s = r.get("user_secs") or 0.0, r.get("sys_secs") or 0.0
-        if u and s > 0.5 * u:
-            why = "sys > 0.5×user"
-        elif s > 10.0:
-            why = "sys > 10s abs budget"
-        else:
-            why = "lo-leg user CPU >1.2× hi leg (plausibility)"
-        return f"{c}cpu sys {round(s, 1)}s/user {round(u, 1)}s ({why})"
-
-    deg_str = (
-        " DEGRADED(instrument): " + ", ".join(_deg_reason(c) for c in deg)
-        if deg
-        else ""
-    )
-    prereg_tag = ""
-    if p["detail"].get("prereg"):
-        prereg_tag = (
-            f" PREREG(no-retry, all pairs shown, median={p['detail']['prereg_median']})"
-        )
-    log_entry = (
-        f"- 2->8 eff {p['value']}{pe_str} ({thr_line}) "
-        f"[{os.path.basename(p['sf'])} x{SCALING_MULTIPLIER}]{prereg_tag}{deg_str}\n"
-    )
-    # round-best evidence line: the header table shows the LATEST run only
-    # (storms come and go on this VM), so the header also states the best
-    # campaign value and best same-session pair across the WHOLE log —
-    # parsed from the log itself so it can never drift from the records
-    import re as _re
-
-    # best-on-record is computed over CLEAN campaigns only (ADVICE r4: a
-    # DEGRADED low leg inflates efficiency — additive noise does NOT only
-    # subtract on that side — so flagged lines are host-health data, never
-    # round evidence).  The all-campaign best is reported separately.
-    best_eff = best_pair = 0.0
-    best_eff_all = best_pair_all = 0.0
-    prereg_medians = []
-    for line in (prior_log + log_entry).splitlines():
-        clean = "DEGRADED" not in line
-        m = _re.match(r"- 2->8 eff ([0-9.]+)", line)
-        if m:
-            v = float(m.group(1))
-            best_eff_all = max(best_eff_all, v)
-            if clean:
-                best_eff = max(best_eff, v)
-        mm = _re.search(r"median=([0-9.]+)", line)
-        if mm:
-            prereg_medians.append(float(mm.group(1)))
-        mp_ = _re.search(r"pairs=\[([0-9., ]+)\]", line)
-        if mp_:
-            # pairs > 1.0 are physically implausible (a noise-hit LOW leg)
-            # and never count as evidence even on clean lines
-            vals = [
-                v
-                for v in (float(x) for x in mp_.group(1).split(","))
-                if v <= 1.0
-            ]
-            if vals:
-                best_pair_all = max(best_pair_all, max(vals))
-                if clean:
-                    best_pair = max(best_pair, max(vals))
-    with open("BENCH/BASELINE.md", "w") as f:
-        f.write(
-            "# BENCH baseline (measured)\n\n"
-            f"corpus: deterministic synthetic transcripts, {p['detail']['turns']} turns "
-            f"(sized to {p['sf']} x{SCALING_MULTIPLIER}); identical input + code for every\n"
-            "run; fresh processes per parallelism level "
-            "(`ray.init(address='local', num_cpus=N)`).\n\n"
-            f"| run | build secs | turns/sec |\n|---|---|---|\n{rows}\n\n"
-            "Scaling efficiency (thr_hi/thr_lo)/(hi/lo):\n\n"
-            f"{pairs}\n\n"
-            + (
-                # a flagged run is never the gate verdict (ADVICE r4) \u2014
-                # on EITHER side of 0.8; the verdict defers to the log
-                f"LATEST run ({cpu_levels[0]}\u2192{cpu_levels[1]} pair "
-                f"{p['value']}) is instrument-flagged \u2014 a host-health "
-                f"data point, NOT gate evidence.  Primary N vs 4N evidence "
-                f"= the measurement log: best CLEAN campaign, plus the "
-                f"pre-registered no-retry campaign medians "
-                f"{prereg_medians} (gate \u2265 "
-                f"{p['detail']['efficiency_gate']}).\n\n"
-                if deg
-                else
-                f"Primary N vs 4N evidence = the "
-                f"{cpu_levels[0]}\u2192{cpu_levels[1]} pair: "
-                f"**{p['value']}** (gate \u2265 "
-                f"{p['detail']['efficiency_gate']}: "
-                f"{'PASS' if p['detail']['pass'] else 'FAIL'}).\n\n"
-            )
-            + f"Best on record across CLEAN campaigns (measurement log below): "
-            f"campaign estimator **{best_eff}**, best same-session pair "
-            f"**{best_pair}** (implausible >1.0 pairs excluded; "
-            f"instrument-DEGRADED lines never count \u2014 low-leg noise can "
-            f"INFLATE efficiency, so flagged runs are host-health data on "
-            f"either side of the gate).  All-campaign best incl. flagged "
-            f"lines, for transparency: {best_eff_all} / {best_pair_all}.\n\n"
-            + (
-                "**This LATEST run is INSTRUMENT-FLAGGED DEGRADED** \u2014 "
-                + ", ".join(_deg_reason(c) for c in deg)
-                + " (first-touch fault\n"
-                "storms land in guest system time; clean campaigns run ~0.3 s\n"
-                "sys per leg).  A flagged run is a host-health data point on\n"
-                "EITHER side of the gate: noise on the HIGH leg depresses the\n"
-                "measured efficiency, but noise on the LOW leg inflates it, so\n"
-                "no directional 'lower bound' claim is made.  The gate verdict\n"
-                "stands only on clean campaigns in the measurement log below.\n\n"
-                if deg
-                else ""
-            )
-            + "Caveat: this sandbox is ONE VM; the 8\u219232 pair measures the host's\n"
-            "FIRST-TOUCH PAGE-FAULT path, not the engine.  Measured with\n"
-            "tools/membw_probe.py (no Ray, pure fork workers): streaming-READ\n"
-            "bandwidth scales near-linearly to 32 workers (6.5 GB/s \u00d71 \u2192 144 GB/s\n"
-            "aggregate \u00d732, per-worker \u221231%), but first-touch FAULT bandwidth\n"
-            "(fresh mmap, one write per 4K page \u2014 the allocation-burst shape of a\n"
-            "cold build task) saturates at ~3.6 GB/s aggregate by 8\u201316 workers and\n"
-            "COLLAPSES to 0.85 GB/s aggregate at 32 (0.03 GB/s per worker \u2014\n"
-            "negative scaling; guest zero-fill + hypervisor page-backing\n"
-            "serialize).  That is why every 32-CPU leg burns 500\u2013900 s of guest\n"
-            "sys CPU while 2/8-CPU legs run ~0.3\u201316 s, and why a real 4N-node\n"
-            "cluster \u2014 which adds an independent kernel and memory backend with\n"
-            "every node \u2014 does not see this cliff.\n"
-            "The build itself is embarrassingly parallel (64 independent partition\n"
-            "tasks, two-stage hash exchange, no driver-side bottleneck).\n\n"
-            "Warm comparability (ADVICE r3): bench_build rows from round 3 on\n"
-            "exclude `_warm_cluster()` (worker spawn + plasma pre-fault) from the\n"
-            "timed build and report it as `cluster_warm_secs`; r1/r2 history rows\n"
-            "were collected without the heavy warm, so cross-round `build` deltas\n"
-            "before/after r3 compare a warmed build against an unwarmed one.\n"
-            "Scaling rows (this file) never warmed heavily at any round — the\n"
-            "children run `bench_build` with the same warm policy at every level,\n"
-            "so efficiencies are internally consistent across all rounds.\n\n"
-            f"{_LOG_MARK}\n\n"
-            f"{prior_log}{log_entry}"
-        )
 
 
 if __name__ == "__main__":
     if "--_scale_child" in sys.argv:
         _scale_child(int(sys.argv[sys.argv.index("--_scale_child") + 1]))
-    elif "--scaling-prereg" in sys.argv:
-        print(json.dumps(run_scaling(prereg=True)))
     elif "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
     else:

@@ -24,10 +24,10 @@ FORMAT_VERSION = 5  # bump when segment/posting layout OR naming changes (invali
 
 # Import-time so every Ray worker that deserializes one of our UDFs (and the
 # driver itself on the affected microVM hosts) gets allocator retention — see
-# runtime.py for the measured rationale.  Gated (ADVICE r3): applies only in
-# Ray workers, on *-fc-* microVM kernels, or with IRESEARCH_MEMTUNE=1 — a host
-# application importing the library elsewhere keeps its default allocator.
-# Idempotent; hard opt-out with IRESEARCH_NO_MEMTUNE=1.
+# runtime.py for the measured rationale.  Applies only in Ray workers and on
+# *-fc-* microVM kernels — a host application importing the library elsewhere
+# keeps its default allocator.  Idempotent; hard opt-out with
+# IRESEARCH_NO_MEMTUNE=1.
 from iresearch_ray.runtime import should_autotune as _should_autotune  # noqa: E402
 from iresearch_ray.runtime import tune_memory as _tune_memory  # noqa: E402
 

@@ -267,10 +267,10 @@ def _run_merges(
     out: list[dict] = []
     if narrow:
         if have_ray:
-            # ALWAYS as tasks, even a single set: prestarted workers carry
-            # the pre-faulted retained arenas (runtime.py), so the merge's
-            # allocation burst reuses pages instead of first-touch faulting
-            # on the driver — and the driver stays free for metadata.
+            # ALWAYS as tasks, even a single set: workers run with allocator
+            # retention (runtime.py), so a merge's allocation burst reuses
+            # pages earlier tasks faulted, and the driver stays free for
+            # metadata.
             remote_merge = _remote(merge_segments)
             out += ray.get(
                 [remote_merge.remote(index_dir, s, generation, crypto) for s in narrow]

@@ -3240,6 +3240,65 @@ def bpe_apply(ds, merges: pa.Table, text_col: str = "text", id_col: str = "doc_i
 # ---------------------------------------------------------------------------
 
 
+_GREEDY_BLOCK = 256
+
+
+def _greedy_keep(
+    vecs: np.ndarray, threshold: float, block: int = _GREEDY_BLOCK
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy near-dup keep over the rows of a row-normalized matrix, in row
+    order: a row is dropped iff its cosine to some earlier KEPT row is
+    >= ``threshold``.  Returns (kept, nearest, max_sim): ``nearest`` = the
+    row index of the first earlier kept row with the highest cosine (-1 for
+    row 0), ``max_sim`` = that cosine (0.0 for row 0).
+
+    Each block of rows is compared with the kept rows before it in one
+    product, then with the block's own kept rows one row at a time, so
+    memory is O(block x kept) rather than n x n."""
+    n = len(vecs)
+    kept = np.zeros(n, dtype=bool)
+    nearest = np.full(n, -1, dtype=np.int64)
+    max_sim = np.zeros(n, dtype=np.float64)
+    kmat = np.empty_like(vecs)  # kept rows, in row order
+    krow = np.empty(n, dtype=np.int64)  # their row indices
+    nk = 0
+    for a in range(0, n, block):
+        vb = vecs[a : a + block]
+        m = len(vb)
+        if nk:
+            s = vb @ kmat[:nk].T
+            jk = np.argmax(s, axis=1)
+            best = s[np.arange(m), jk]
+            near = krow[jk]
+            del s
+        else:
+            best = np.full(m, -np.inf)
+            near = np.full(m, -1, dtype=np.int64)
+        w = vb @ vb.T
+        mine: list[int] = []  # block offsets of the block's kept rows
+        for i in range(m):
+            b, j = best[i], near[i]
+            if mine:
+                sw = w[i, mine]
+                t = int(np.argmax(sw))
+                # ties go to the earlier kept row, i.e. the one before the block
+                if sw[t] > b:
+                    b, j = sw[t], a + mine[t]
+            if j < 0:
+                mine.append(i)
+                continue
+            nearest[a + i] = j
+            max_sim[a + i] = b
+            if b < threshold:
+                mine.append(i)
+        rows = a + np.asarray(mine, dtype=np.int64)
+        kept[rows] = True
+        kmat[nk : nk + len(mine)] = vecs[rows]
+        krow[nk : nk + len(mine)] = rows
+        nk += len(mine)
+    return kept, nearest, max_sim
+
+
 def semantic_dedup(
     ds,
     n_clusters: int = 16,
@@ -3306,23 +3365,15 @@ def semantic_dedup(
                 n,
                 cluster_cap,
             )
-        vecs = _normalize(_vec_matrix(g.slice(0, head), vec_col))
-        sims = vecs @ vecs.T
-        kept_mask = np.ones(head, dtype=bool)
-        dup_of = np.full(n, -1, dtype=np.int64)
-        max_sim = np.zeros(n, dtype=np.float64)
-        for i in range(1, head):
-            prior = np.nonzero(kept_mask[:i])[0]
-            if prior.size == 0:
-                continue
-            s = sims[i, prior]
-            j = int(np.argmax(s))
-            max_sim[i] = float(s[j])
-            if s[j] >= threshold:
-                kept_mask[i] = False
-                dup_of[i] = ids[prior[j]]
+        kept_mask, nearest, head_sim = _greedy_keep(
+            _normalize(_vec_matrix(g.slice(0, head), vec_col)), threshold
+        )
         kept = np.ones(n, dtype=bool)
         kept[:head] = kept_mask
+        dup_of = np.full(n, -1, dtype=np.int64)
+        dup_of[:head][~kept_mask] = ids[nearest[~kept_mask]]
+        max_sim = np.zeros(n, dtype=np.float64)
+        max_sim[:head] = head_sim
         return pa.table(
             {
                 id_col: pa.array(ids),

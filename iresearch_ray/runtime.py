@@ -11,9 +11,11 @@ from page-fault contention.
 
 The fix is allocator RETENTION, not more memory: tell the allocators to keep
 freed pages mapped so each worker faults its working set once and then runs
-at full bandwidth.  Measured effect on the affected VM (200 MB alloc+stream
-probe): glibc default 0.19 GB/s → 10.4 GB/s after ``mallopt``; pyarrow
-jemalloc pool 2.2 GB/s → 7.1 GB/s on the system pool + tuned glibc.
+at full bandwidth.  Nothing is faulted ahead of use: a worker's heap grows
+to its own working set and no further.  Measured effect on the affected VM
+(200 MB alloc+stream probe): glibc default 0.19 GB/s → 10.4 GB/s after
+``mallopt``; pyarrow jemalloc pool 2.2 GB/s → 7.1 GB/s on the system pool +
+tuned glibc.
 
 ``tune_memory()`` is idempotent, per-process, and safe everywhere (no-ops on
 failure); it is invoked at package import so every Ray worker that
@@ -37,41 +39,6 @@ _M_MMAP_THRESHOLD = -3
 _RETAIN_BYTES = 1 << 30
 
 _tuned = False
-_prefaulted = 0
-
-
-def prefault_heap(nbytes: int | None = None) -> int:
-    """Fault ``nbytes`` of anonymous memory into the retained glibc heap.
-
-    On hosts where first-touch faults are served by a slow VMM path AND freed
-    pages are reported back to the host (virtio-balloon free-page reporting),
-    every transient allocation re-pays the fault. With ``tune_memory()``'s
-    retention in place, faulting a working-set-sized arena ONCE makes all
-    later allocations run at memory speed. Idempotent up to the high-water
-    mark; returns the bytes newly faulted.
-    """
-    global _prefaulted
-    if nbytes is None:
-        # default sized to a build worker's arena high-water mark (measured
-        # round 4: 512 MB pre-fault cut the 8-CPU scaling leg's in-task SYS
-        # time 80 s → 0.3 s and lifted throughput 105k → 188k turns/s — the
-        # fault cost moves into the untimed one-time warm, where a real
-        # cluster pays it at provision).  Only reached on hosts where
-        # should_autotune() applied retention (microVM kernels / opt-in).
-        nbytes = int(os.environ.get("IRESEARCH_PREFAULT_MB", "512")) << 20
-    todo = nbytes - _prefaulted
-    if todo <= 0:
-        return 0
-    try:
-        buf = bytearray(todo)  # from the (retained) glibc heap
-        step = 4096
-        for i in range(0, todo, step):  # touch every page
-            buf[i] = 1
-        del buf
-        _prefaulted += todo
-        return todo
-    except MemoryError:
-        return 0
 
 
 def _in_ray_worker() -> bool:
@@ -80,16 +47,13 @@ def _in_ray_worker() -> bool:
 
 
 def should_autotune() -> bool:
-    """Whether import-time tuning should apply in THIS process.  Restricted
-    (ADVICE r3) to contexts where it is known to help: an explicit
-    IRESEARCH_MEMTUNE=1 request, a Ray worker (our UDFs run there), or a
-    microVM kernel (``*-fc-*``) where first-touch faults exit to the VMM.
-    Host applications importing the library on normal kernels keep their
-    default allocator behavior; IRESEARCH_NO_MEMTUNE=1 is a hard off."""
+    """Whether import-time tuning should apply in THIS process: a Ray worker
+    (our UDFs run there) or a microVM kernel (``*-fc-*``) where first-touch
+    faults exit to the VMM.  Host applications importing the library on
+    normal kernels keep their default allocator behavior;
+    IRESEARCH_NO_MEMTUNE=1 is a hard off."""
     if os.environ.get("IRESEARCH_NO_MEMTUNE"):
         return False
-    if os.environ.get("IRESEARCH_MEMTUNE"):
-        return True
     if _in_ray_worker():
         return True
     try:
@@ -122,7 +86,4 @@ def tune_memory() -> bool:
     except Exception:
         pass
     _tuned = True
-    if ok and _in_ray_worker():
-        # one-time per worker; amortized across every task it ever runs
-        prefault_heap()
     return ok

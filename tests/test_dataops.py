@@ -919,6 +919,81 @@ def test_semantic_dedup_vs_brute(emb_tbl, ray_session):
     assert key(a).equals(key(b))
 
 
+def _greedy_reference(vn, threshold):
+    """The full n x n greedy: each row vs every earlier kept row."""
+    import numpy as np
+
+    n = len(vn)
+    sims = vn @ vn.T
+    kept = np.ones(n, dtype=bool)
+    dup = np.full(n, -1, dtype=np.int64)
+    best = np.zeros(n)
+    for i in range(1, n):
+        prior = np.nonzero(kept[:i])[0]
+        s = sims[i, prior]
+        j = int(np.argmax(s))
+        best[i] = s[j]
+        if s[j] >= threshold:
+            kept[i] = False
+            dup[i] = prior[j]
+    return kept, dup, best
+
+
+def test_semantic_dedup_blockwise_matches_greedy_reference(ray_session):
+    """One 3000-vector cluster with 1000 planted near-duplicates (some base
+    vectors get several, so a copy's nearest kept row may be another copy):
+    the blockwise kernel equals the n x n greedy at every block size, and
+    never holds anything n x n sized."""
+    import tracemalloc
+
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.default_rng(7)
+    d, n_base, n_dup = 32, 2000, 1000
+    base = rng.normal(size=d) * 3.0 + rng.normal(size=(n_base, d))
+    src = rng.integers(0, n_base, size=n_dup)
+    dups = base[src] + 0.12 * rng.normal(size=(n_dup, d))
+    vecs = np.vstack([base, dups])
+    perm = rng.permutation(len(vecs))
+    vecs = vecs[perm]
+    n = len(vecs)
+    ids = np.arange(n, dtype=np.int64) * 3 + 11
+    vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    threshold = 0.97
+
+    exp_kept, exp_dup, exp_sim = _greedy_reference(vn, threshold)
+    assert 500 < (~exp_kept).sum() < n_dup + 200  # planted dups really drop
+
+    for block in (1, 97, 256, n + 5):
+        kept, nearest, best = ops._greedy_keep(vn, threshold, block=block)
+        assert np.array_equal(kept, exp_kept), block
+        assert np.array_equal(np.where(kept, -1, nearest), exp_dup), block
+        assert np.allclose(best, exp_sim, rtol=0, atol=1e-12), block
+
+    tracemalloc.start()
+    ops._greedy_keep(vn, threshold)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < n * n * 8 / 4, peak
+
+    centroid = vn.mean(axis=0, keepdims=True)  # one cluster holds every row
+    tbl = pa.table({"vec_id": pa.array(ids), "embedding": pa.array(list(vecs))})
+    out = (
+        ops.semantic_dedup(_ds(tbl, ray_session), centroids=centroid, threshold=threshold)
+        .to_pandas()
+        .set_index("vec_id")
+        .loc[ids]
+    )
+    assert np.array_equal(out["kept"].to_numpy(), exp_kept)
+    assert np.array_equal(
+        out["dup_of"].to_numpy(), np.where(exp_dup < 0, -1, ids[exp_dup])
+    )
+    assert np.array_equal(
+        out["max_sim"].to_numpy(), ops.round_half_away(exp_sim, 4)
+    )
+
+
 def test_substring_dedup_edge_shapes(ray_session):
     import pyarrow as pa
 

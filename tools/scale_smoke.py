@@ -51,19 +51,17 @@ turns = sum(pq.read_metadata(f).num_rows for f in files)
 idx = "/tmp/ire_bench/idx_smoke10m"
 shutil.rmtree(idx, ignore_errors=True)
 
-# Untimed cluster warm, DISCLOSED: start every worker (prefaults its
-# retained arena via runtime.py) and fault a plasma arena sized to the
-# job's object flow.  tools/membw_probe.py measures this host's
-# first-touch fault path at ~3.6 GB/s saturated (collapsing under 32
-# concurrent faulting workers) vs ~100+ GB/s for REUSED pages — a 10M-turn
-# job streams tens of GB through the store, so an unwarmed run measures
-# the hypervisor's page-backing path, not the engine.  A production
-# cluster's store is long-lived and pays this once at provision time.
+# Untimed cluster warm, DISCLOSED: start every worker (each applies allocator
+# retention on import, see runtime.py) and touch a plasma arena sized to the
+# job's object flow.  A 10M-turn job streams tens of GB through the store,
+# and first-touch page faults on a fresh store can cost far more than reuse
+# of pages already faulted; a production cluster's store is long-lived and
+# pays this once at provision time.
 import numpy as np
 
 @ray.remote(num_cpus=1)
 def _warm() -> int:
-    import iresearch_ray  # noqa: F401  (tunes + prefaults this worker)
+    import iresearch_ray  # noqa: F401  (applies allocator retention here)
 
     return 0
 
@@ -72,7 +70,7 @@ ray.get([_warm.remote() for _ in range(64)])
 # Fault the plasma arena sized to THIS host's store (80% of capacity), in a
 # rolling window of ≤4 live refs — a fixed 16 GB with all refs held would
 # trigger disk SPILLING on hosts with a smaller store, silently degrading
-# the pre-fault into an I/O storm (and leaving spilled objects behind).
+# the warm into an I/O storm (and leaving spilled objects behind).
 _store = int(ray.cluster_resources().get("object_store_memory", 2 * 1024**3))
 _chunk = 256 * 1024 * 1024
 _n = max(1, int(0.8 * _store) // _chunk)
