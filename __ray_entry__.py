@@ -1265,11 +1265,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return ev.range_join_count(_events_ds(sf), "click", "view", 600).to_pandas()
 
+    def _emb_rows(sf, ids, columns):
+        """The embeddings.parquet rows whose vec_id is in ``ids``, read by a
+        Ray Data task with the filter pushed into the Parquet scan: only
+        ``columns`` of the matching rows reach the driver."""
+        import pyarrow.compute as pc
+        import ray.data as rd
+
+        return rd.read_parquet(
+            f"{sf}/embeddings.parquet",
+            columns=columns,
+            filter=pc.field("vec_id").isin(list(ids)),
+        ).to_pandas()
+
     def _qmat(sf):
-        t = pq.read_table(f"{sf}/embeddings.parquet")
-        ids = np.asarray(t["vec_id"].to_pylist())
-        order = np.argsort(ids)[:3]
-        return np.array(t["embedding"].to_pylist(), dtype=np.float64)[order]
+        # the queries are the 3 smallest vec_ids: the driver reads the
+        # vec_id column, then only those 3 rows
+        ids = pq.read_table(f"{sf}/embeddings.parquet", columns=["vec_id"])["vec_id"]
+        q = _emb_rows(sf, np.sort(ids.to_numpy())[:3].tolist(), ["vec_id", "embedding"])
+        q = q.sort_values("vec_id")
+        return np.array(q["embedding"].tolist(), dtype=np.float64)
 
     def emb_topk(sf):
         out = ops.embedding_topk(_emb_ds(sf), _qmat(sf), k=10).to_pandas()
@@ -1323,11 +1338,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def emb_knn_labels(sf):
         """k-NN classification flavor: label histogram of each query's
         top-20 cosine neighbors (excluding self)."""
-        top = ops.embedding_topk(_emb_ds(sf), _qmat(sf), k=21)
-        labels = _emb_ds(sf).select_columns(["vec_id", "label"])
-        out = top.join(labels, "inner", num_partitions=4, on=("vec_id",)).to_pandas()
+        out = ops.embedding_topk(_emb_ds(sf), _qmat(sf), k=21).to_pandas()
         out = out[out["vec_id"] != out["query_idx"]]
         out = out.sort_values(["query_idx", "rank"]).groupby("query_idx").head(20)
+        # labels of the top-k rows only, not a driver-side table of them all
+        labels = _emb_rows(sf, out["vec_id"].unique().tolist(), ["vec_id", "label"])
+        out = out.merge(labels, on="vec_id")
         hist = (
             out.groupby(["query_idx", "label"]).size().reset_index(name="cnt")
         )

@@ -34,7 +34,8 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 CORPUS_ROOT = "/tmp/ire_bench/corpus"
 INDEX_ROOT = "/tmp/ire_bench/idx"
-SCALING_MULTIPLIER = int(os.environ.get("GRAFT_SCALING_MULT", "4"))
+# the scaling legs build a corpus 4x the sf size so fixed per-job cost is amortized
+SCALING_MULTIPLIER = 4
 # 64 keeps consolidate's merge-tree depth comparable across rounds; the
 # scaling legs use 128 so the 8-worker leg's straggler tail stays small
 HEADLINE_PARTITIONS = 64
