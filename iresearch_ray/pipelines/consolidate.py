@@ -21,6 +21,8 @@ from iresearch_ray.state.manifest import commit_manifest, gc_segments, load_mani
 from iresearch_ray.state.policy import POLICIES
 
 
+# tier sets hold at most MAX_SEGMENTS_PER_TIER = 10 segments, so only the
+# count / bytes / docs_* policies reach the shuffle merge by width
 WIDE_SET_THRESHOLD = 16  # candidate sets wider than this use the salted shuffle merge
 # ... or HEAVIER than this: a 2-way merge of two multi-GB segments is one
 # task doing a single-threaded mega-merge + write — the shuffle engine

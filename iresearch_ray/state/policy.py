@@ -5,11 +5,20 @@ SURVEY ⚠ unverified, mirrored in shape).
 Pure-python policy over segment metas from the manifest: each policy returns
 candidate sets (lists of segment names) to merge; execution fans out as Ray
 tasks (pipelines/consolidate.py).
+
+``tier`` departs from a literal ``min_score=0`` mirror in one rule: a window
+holds only segments of similar floored size (largest <= ``MAX_SIZE_RATIO`` x
+smallest).  With ``min_score=0`` alone every window of >= 2 segments would
+qualify, so consolidating after each append would merge the whole index with
+the new segment, and total write cost would grow quadratically in the number
+of appends.  Under the ratio rule a large segment is left alone until smaller
+tiers grow into its size class, so each byte is rewritten O(log N) times.
 """
 
 from __future__ import annotations
 
 FLOOR_SEGMENT_BYTES = 2 << 20      # tiny segments count as 2MB for scoring
+MAX_SIZE_RATIO = 4                 # a tier window's largest / smallest floored size
 MAX_SEGMENTS_BYTES = 5 << 30       # candidate set byte cap
 MAX_SEGMENTS_PER_TIER = 10
 MIN_SEGMENTS_PER_TIER = 2
@@ -24,8 +33,15 @@ def tier(
     min_score: float = 0.0,
 ) -> list[list[str]]:
     """Tiered merge: sort by floored byte size, slide a window of
-    <= max_segments_per_tier, score by size skew (even windows score higher),
-    take the best-scoring window above min_score."""
+    <= max_segments_per_tier whose largest member is at most MAX_SIZE_RATIO x
+    its smallest, score by size skew (even windows score higher), take the
+    best-scoring window above min_score.
+
+    The ratio cap keeps a large segment out of a window with one small
+    append, which would otherwise qualify and have repeated consolidation
+    rewrite the whole index after every append.  Equal-size segments compact
+    to one segment when each round's merged sizes stay within the ratio (64
+    and 128 do; 11 ends as a 10-segment merge beside a lone original)."""
     if len(segments) < min_segments_per_tier:
         return []
     sized = sorted(
@@ -42,7 +58,7 @@ def tier(
                 count = hi - lo + 1
                 if count < min_segments_per_tier:
                     continue
-                if total > max_segments_bytes:
+                if total > max_segments_bytes or rows[hi][0] > MAX_SIZE_RATIO * rows[lo][0]:
                     break
                 # skew score in (0,1]: 1.0 = perfectly even window; more
                 # segments of similar size beat fewer/lopsided ones

@@ -2,6 +2,7 @@
 consolidate to fewer, query results INVARIANT (scores exact), lineage
 recorded, old dirs GC-able."""
 
+import itertools
 import os
 
 import numpy as np
@@ -79,6 +80,115 @@ def test_tier_policy_shape():
     assert len(sets) == 1
     # the four similar-sized tiny segments merge; the big one is left alone
     assert sorted(sets[0]) == ["s0", "s1", "s2", "s3"]
+
+
+_MERGE_IDS = itertools.count()
+
+
+def _tier_fixpoint(live: dict[str, int]) -> int:
+    """Apply tier() sets until it picks nothing, as consolidate(repeat=True)
+    does; a merged segment's size is the sum of its inputs.  Mutates
+    ``live`` (name -> bytes) and returns the bytes written."""
+    from iresearch_ray.state.policy import tier
+
+    written = 0
+    while sets := tier([{"name": n, "bytes": b} for n, b in live.items()]):
+        for s in sets:
+            merged = sum(live.pop(n) for n in s)
+            live[f"m{next(_MERGE_IDS)}"] = merged
+            written += merged
+    return written
+
+
+def test_tier_replay_bounded_write_amplification():
+    """1000 equal 1 MB appends into an empty index, each followed by a
+    consolidation fixpoint: similar-size tiers rewrite each byte O(log N)
+    times (whole-index merges after every append would be ~500x) and the
+    live segment count stays within one tier."""
+    from iresearch_ray.state.policy import MAX_SEGMENTS_PER_TIER
+
+    mb = 1 << 20
+    live: dict[str, int] = {}
+    written = max_live = 0
+    for i in range(1000):
+        live[f"a{i}"] = mb
+        written += _tier_fixpoint(live)
+        max_live = max(max_live, len(live))
+    assert written / (1000 * mb) <= 16
+    assert max_live <= MAX_SEGMENTS_PER_TIER
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_tier_replay_compacts_equal_segments(n):
+    """Equal-size segments (bench.py's 64-partition headline, the
+    128-partition epoch compaction in tools/scale_smoke.py) still compact
+    to a single segment."""
+    live = {f"s{i}": 3 << 20 for i in range(n)}
+    _tier_fixpoint(live)
+    assert list(live.values()) == [n * (3 << 20)]
+
+
+def test_tier_append_cycles_leave_large_segment(ray_session, tmp_path):
+    """8 base partitions, then 4 x append_index -> consolidate(tier, gc,
+    repeat).  The first cycle merges the base and the first batch into one
+    large segment; later cycles leave that segment alone (same name) and
+    merge only the small batches; a consolidate with nothing to merge keeps
+    the generation; doc counts and top-k stay exact."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.pipelines.build import append_index
+    from iresearch_ray.sources.transcripts import gen_transcripts_range
+    from iresearch_ray.state.policy import FLOOR_SEGMENT_BYTES, MAX_SIZE_RATIO
+
+    base_convs, batch_convs = 6000, 40
+    d = str(tmp_path / "idx")
+    tables = [gen_transcripts_range(0, base_convs)]
+    build_index_local(tables[0], d, num_partitions=8)
+    big = None
+    for i in range(4):
+        lo = base_convs + i * batch_convs
+        tables.append(gen_transcripts_range(lo, lo + batch_convs))
+        src = tmp_path / f"batch{i}"
+        src.mkdir()
+        pq.write_table(tables[-1], str(src / "part-00000.parquet"))
+        expected = sum(t.num_rows for t in tables)
+        m = append_index(str(src), d, num_partitions=1)
+        assert m["metrics"]["docs_count"] == expected
+        m2 = consolidate(d, policy="tier", gc=True, repeat=True)
+        assert m2["metrics"]["docs_count"] == expected
+        assert sum(s["docs_count"] for s in m2["segments"]) == expected
+        names = {s["name"] for s in m2["segments"]}
+        if i == 0:
+            assert len(names) == 1
+            big = m2["segments"][0]
+            # the premise of the cycles below: the merged base sits more than
+            # one size class above an appended batch
+            assert big["bytes"] > MAX_SIZE_RATIO * FLOOR_SEGMENT_BYTES
+        elif i == 1:
+            # big + one small batch: nothing of similar size to merge
+            assert names == {s["name"] for s in m["segments"]}
+            assert m2["generation"] == m["generation"]
+        else:
+            # the small batches merge with each other, never into big
+            assert len(names) == 2 and m2["generation"] > m["generation"]
+        assert big["name"] in names
+
+    s = Searcher(d)
+    oracle = BruteForceOracle(pa.concat_tables(tables))
+    for q in QUERIES:
+        want = oracle.search(q, k=20)
+        for wand in (False, True):
+            got = s.search_local(q, k=20, wand=wand)
+            assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
+                zip(want["conv_id"], want["turn_idx"].astype(int))
+            )
+            np.testing.assert_allclose(
+                got["score"].to_numpy(dtype=float),
+                want["score"].to_numpy(dtype=float),
+                atol=1e-6,
+                rtol=0,
+            )
 
 
 def test_gc_removes_unreferenced(setup):

@@ -3,8 +3,9 @@
 Generates a ~10M-turn deterministic transcript corpus in parallel (cached
 under /tmp/ire_bench), builds the index (the hash-exchange build_index),
 runs a FULL epoch compaction (tier repeat=True — deliberately extreme: it
-collapses 128 segments to 1), and serves a warm query.  Owns its Ray
-session.  Usage: python tools/scale_smoke.py
+collapses 128 similar-size segments to 1 in three rounds, each round's
+merged sizes staying within the tier size ratio), and serves a warm query.
+Owns its Ray session.  Usage: python tools/scale_smoke.py
 """
 
 import sys, os
