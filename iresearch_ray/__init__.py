@@ -5,10 +5,10 @@ IResearch (yyht/iresearch, the fulltext core of ArangoSearch) on Ray Data:
 
 - index build = Parquet (or Dataset) read → hash exchange by ``conv_id`` →
   per-partition immutable segment build (term dict + delta+varint posting
-  lists with skip/block-max metadata + doc-table with norms) → manifest
+  lists with skip metadata + doc-table with norms) → manifest
   two-phase commit  (SURVEY.md §3.1)
 - query = driver-side prepare (global stats, multiterm expansion) →
-  per-segment Ray tasks or a persistent QueryPool → block-max-pruned BM25
+  per-segment Ray tasks or a persistent QueryPool → exhaustive BM25
   top-k → driver k-way merge  (SURVEY.md §3.2)
 - consolidation = tiered merge policy + per-candidate-set Ray merge tasks
   (SURVEY.md §3.3)
@@ -18,9 +18,11 @@ the caller (driver / bench.py / test fixtures).
 """
 
 __version__ = "0.1.0"
-FORMAT_VERSION = 5  # bump when segment/posting layout OR naming changes (invalidates caches)
+FORMAT_VERSION = 6  # bump when segment/posting layout OR naming changes (invalidates caches)
 # v5: off_blob/off_off (indexed character offsets) + pay_blob/pay_off
 # (payload bytes) columns in terms.parquet (both empty unless opted in)
+# v6: dropped the four score-bound columns from terms.parquet (per-term max
+# tf and min dl, also in the global dictionary; per-block max tf and min dl)
 
 # Import-time so every Ray worker that deserializes one of our UDFs (and the
 # driver itself on the affected microVM hosts) gets allocator retention — see

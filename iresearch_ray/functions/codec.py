@@ -1,22 +1,21 @@
 """Posting-list codec — SURVEY.md §2.3 / BASELINE.json north_star.
 
 Delta + varint compressed posting lists in blocks of BLOCK_SIZE=128 docs with
-skip metadata (last docid + byte offset per block) and block-max (WAND)
-metadata (max tf + min dl per block), mirroring the reference's packed
-posting blocks + skip lists + wand_writer (ref: core/formats/formats_10.cpp
+skip metadata (last docid + byte offset per block), mirroring the reference's
+packed posting blocks + skip lists (ref: core/formats/formats_10.cpp
 postings_writer/skip_writer — block size 128; citation convention SURVEY §0).
 
 Layout per term (all stored as Arrow columns in terms.parquet):
 
 - ``doc_blob`` (binary): per block, varint(doc deltas) then varint(tfs).
   First delta of block b is relative to ``block_last_doc[b-1]`` (0 for b=0),
-  so any block decodes independently given the skip table — that is what
-  makes block skipping (WAND) possible.
+  so any block decodes independently given the skip table, and a merge can
+  splice whole blocks without re-encoding them.
 - ``pos_blob`` (binary): per block, varint of per-occurrence position deltas
   (positions are delta-encoded within each doc, docs concatenated in order;
   counts come from the block's tfs).  ``pos_off[b]`` = byte offset of block b.
-- ``block_last_doc``, ``block_off``, ``pos_off``, ``block_max_tf``,
-  ``block_min_dl``: int64 lists, one entry per block.
+- ``block_last_doc``, ``block_off``, ``pos_off``, ``block_doc_count``:
+  int64 lists, one entry per block.
 
 Everything is vectorized numpy; no per-byte python loops.
 """
@@ -102,8 +101,6 @@ class PostingBlob:
     block_last_doc: np.ndarray  # int64[nblocks]
     block_off: np.ndarray       # int64[nblocks] byte offset into doc_blob
     pos_off: np.ndarray         # int64[nblocks] byte offset into pos_blob
-    block_max_tf: np.ndarray    # int64[nblocks]
-    block_min_dl: np.ndarray    # int64[nblocks]
     block_doc_count: np.ndarray  # int64[nblocks] docs in each block
     off_blob: bytes = b""       # optional per-occurrence character offsets
     off_off: np.ndarray | None = None  # int64[nblocks] byte offset into off_blob
@@ -114,7 +111,6 @@ class PostingBlob:
 def encode_postings(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
-    dls: np.ndarray,
     positions: np.ndarray | None = None,
     offsets: tuple[np.ndarray, np.ndarray] | None = None,
     payloads: list[bytes] | None = None,
@@ -122,9 +118,7 @@ def encode_postings(
     """Encode one term's postings.
 
     ``doc_ids`` strictly-increasing int (segment-local, >=1), ``tfs`` the term
-    frequency per doc, ``dls`` the doc's field length (for block-min-dl WAND
-    bound — SURVEY §7.4: the block score upper bound must pair max tf with
-    MIN dl since BM25 is monotone up in tf and down in dl), ``positions`` a
+    frequency per doc, ``positions`` a
     flat array of all occurrence positions (sorted per doc, docs in order;
     len == tfs.sum()) or None to skip positions.
 
@@ -142,9 +136,8 @@ def encode_postings(
     """
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
-    dls = np.asarray(dls, dtype=np.int64)
     n = doc_ids.size
-    assert tfs.size == n and dls.size == n
+    assert tfs.size == n
     nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     bounds = np.minimum(np.arange(1, nblocks + 1) * BLOCK_SIZE, n)
     starts = np.concatenate(([0], bounds[:-1]))
@@ -243,16 +236,12 @@ def encode_postings(
             poff2 += len(part)
         pay_blob = b"".join(pay_parts)
 
-    block_max_tf = np.maximum.reduceat(tfs, starts)
-    block_min_dl = np.minimum.reduceat(dls, starts)
     return PostingBlob(
         doc_blob=doc_blob,
         pos_blob=pos_blob,
         block_last_doc=doc_ids[bounds - 1].astype(np.int64),
         block_off=block_off,
         pos_off=pos_off,
-        block_max_tf=block_max_tf.astype(np.int64),
-        block_min_dl=block_min_dl.astype(np.int64),
         block_doc_count=(bounds - starts).astype(np.int64),
         off_blob=off_blob,
         off_off=off_off if off_blob else None,
@@ -269,7 +258,6 @@ def _varint_nbytes(v: np.ndarray) -> np.ndarray:
 def encode_postings_bulk(
     pair_doc: np.ndarray,
     tf: np.ndarray,
-    pair_dl: np.ndarray,
     term_starts: np.ndarray,
     term_ends: np.ndarray,
     pos: np.ndarray | None = None,
@@ -280,20 +268,18 @@ def encode_postings_bulk(
     with TWO varint calls total — byte-parity asserted in tests).
 
     Inputs are pair-level arrays sorted by (term, doc): ``pair_doc`` int64
-    doc ids, ``tf`` per-pair term frequency, ``pair_dl`` per-pair doc length;
-    ``term_starts``/``term_ends`` delimit each term's pair range.  ``pos`` is
-    the flat occurrence-position array (sorted by term, doc, position) or
-    None.  Offsets/payload streams are NOT handled here — opt-in builds take
-    the per-term path.
+    doc ids, ``tf`` per-pair term frequency; ``term_starts``/``term_ends``
+    delimit each term's pair range.  ``pos`` is the flat occurrence-position
+    array (sorted by term, doc, position) or None.  Offsets/payload streams
+    are NOT handled here — opt-in builds take the per-term path.
 
-    Returns flat columns: per-term scalars (df/cf/max_tf/min_dl), the
-    concatenated ``doc_blob``/``pos_blob`` with per-term byte bounds, and
+    Returns flat columns: per-term scalars (df/cf), the concatenated
+    ``doc_blob``/``pos_blob`` with per-term byte bounds, and
     per-block metadata arrays with per-term block bounds — everything the
     caller needs to slice per-term rows or build Arrow columns directly.
     """
     pair_doc = np.asarray(pair_doc, dtype=np.int64)
     tf = np.asarray(tf, dtype=np.int64)
-    pair_dl = np.asarray(pair_dl, dtype=np.int64)
     term_starts = np.asarray(term_starts, dtype=np.int64)
     term_ends = np.asarray(term_ends, dtype=np.int64)
     n = pair_doc.size
@@ -302,12 +288,12 @@ def encode_postings_bulk(
     if n == 0 or t_cnt == 0:
         z = np.empty(0, np.int64)
         return {
-            "df": z, "cf": z, "max_tf": z, "min_dl": z,
+            "df": z, "cf": z,
             "doc_blob": b"", "term_doc_bounds": np.zeros(1, np.int64),
             "pos_blob": b"", "term_pos_bounds": np.zeros(1, np.int64),
             "blk_bounds": np.zeros(1, np.int64),
             "block_last_doc": z, "block_off": z, "pos_off": z,
-            "block_max_tf": z, "block_min_dl": z, "block_doc_count": z,
+            "block_doc_count": z,
         }
 
     # ---- block layout -----------------------------------------------------
@@ -366,8 +352,6 @@ def encode_postings_bulk(
     return {
         "df": term_len,
         "cf": np.add.reduceat(tf, term_starts),
-        "max_tf": np.maximum.reduceat(tf, term_starts),
-        "min_dl": np.minimum.reduceat(pair_dl, term_starts),
         "doc_blob": doc_blob,
         "term_doc_bounds": term_doc_bounds,
         "pos_blob": pos_blob,
@@ -376,8 +360,6 @@ def encode_postings_bulk(
         "block_last_doc": pair_doc[blk_pair_end - 1],
         "block_off": block_off,
         "pos_off": pos_off,
-        "block_max_tf": np.maximum.reduceat(tf, blk_pair_start),
-        "block_min_dl": np.minimum.reduceat(pair_dl, blk_pair_start),
         "block_doc_count": cnt,
     }
 
@@ -420,34 +402,6 @@ def decode_postings(
         vi += 2 * cnt
         s = e
     np.cumsum(doc_ids, out=doc_ids)
-    return doc_ids, tfs
-
-
-def decode_blocks(
-    doc_blob: bytes,
-    block_off: np.ndarray,
-    block_last_doc: np.ndarray,
-    block_doc_count: np.ndarray,
-    which: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode only the selected blocks (``which``: sorted block indices) —
-    the skip-list read path used by WAND pruning (SURVEY §2.8)."""
-    total_bytes = len(doc_blob)
-    n_sel = int(block_doc_count[which].sum()) if which.size else 0
-    doc_ids = np.empty(n_sel, dtype=np.int64)
-    tfs = np.empty(n_sel, dtype=np.int64)
-    out = 0
-    nblocks = block_off.size
-    for b in which:
-        s_byte = int(block_off[b])
-        e_byte = int(block_off[b + 1]) if b + 1 < nblocks else total_bytes
-        vals = varint_decode(memoryview(doc_blob)[s_byte:e_byte]).astype(np.int64)
-        cnt = int(block_doc_count[b])
-        d = vals[:cnt]
-        base = int(block_last_doc[b - 1]) if b > 0 else 0
-        doc_ids[out : out + cnt] = np.cumsum(d) + base
-        tfs[out : out + cnt] = vals[cnt : 2 * cnt]
-        out += cnt
     return doc_ids, tfs
 
 

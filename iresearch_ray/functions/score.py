@@ -104,11 +104,6 @@ SCORERS: dict[str, dict] = {
 }
 
 
-def register_scorer(name: str, idf, tf_factor, monotone: bool = False) -> None:
-    """Register a custom scorer (SURVEY §2.11 REGISTER_SCORER analog).
-
-    ``monotone=True`` declares tf_factor non-decreasing in tf and
-    non-increasing in dl — the invariant block-max WAND's (max_tf, min_dl)
-    upper bound needs.  Leave False (the default) unless that holds:
-    non-monotone scorers are evaluated exactly (WAND disabled for them)."""
-    SCORERS[name] = {"idf": idf, "tf_factor": tf_factor, "monotone": monotone}
+def register_scorer(name: str, idf, tf_factor) -> None:
+    """Register a custom scorer (SURVEY §2.11 REGISTER_SCORER analog)."""
+    SCORERS[name] = {"idf": idf, "tf_factor": tf_factor}

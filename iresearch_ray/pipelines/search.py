@@ -92,9 +92,12 @@ class Searcher:
         wand: bool = True,
         scorer: ScorerCfg | None = None,
     ) -> pd.DataFrame:
+        """Top-k of one filter over every segment, in this process.
+        ``wand`` is ignored: there is one evaluation path; the parameter is
+        kept until perfbench drops it (ROADMAP F12)."""
         plan = self.prepare(flt, scorer).plan
         parts = [
-            segment_topk(r, plan, k, wand, deleted=self._deleted_for(i, r))
+            segment_topk(r, plan, k, deleted=self._deleted_for(i, r))
             for i, r in enumerate(self._local_readers())
         ]
         merged = pa.concat_tables(parts).to_pandas()
@@ -155,7 +158,6 @@ class Searcher:
         self,
         queries: dict[str, Filter],
         k: int = 10,
-        wand: bool = True,
         scorer: ScorerCfg | None = None,
         concurrency: int | tuple[int, int] | None = None,
         batch_size: int | None = None,
@@ -187,7 +189,6 @@ class Searcher:
                 "query_id": qid,
                 "plan": plan,
                 "k": k,
-                "wand": wand,
             }
             for d in self.seg_dirs
             for qid, plan in plans.items()
@@ -219,7 +220,6 @@ class Searcher:
         self,
         queries: dict[str, Filter],
         k: int = 10,
-        wand: bool = True,
         scorer: ScorerCfg | None = None,
         num_actors: int = 8,
     ) -> pd.DataFrame:
@@ -237,7 +237,7 @@ class Searcher:
         it down."""
         if self._pool is None:
             self._pool = QueryPool(self.index_dir, num_actors=num_actors, searcher=self)
-        return self._pool.search(queries, k=k, wand=wand, scorer=scorer)
+        return self._pool.search(queries, k=k, scorer=scorer)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -285,7 +285,7 @@ class _PoolWorker:
             else:
                 self.deleted.append(None)
 
-    def run(self, plans: dict[str, str], k: int, wand: bool):
+    def run(self, plans: dict[str, str], k: int):
         import json as _json
 
         import pyarrow as _pa
@@ -295,7 +295,7 @@ class _PoolWorker:
         _mk = cpu_mark()
         out = []
         for qid, pj in plans.items():
-            key = (pj, k, wand)
+            key = (pj, k)
             cached = self._cache.get(key)
             if cached is not None:
                 self._cache.move_to_end(key)
@@ -303,7 +303,7 @@ class _PoolWorker:
             else:
                 plan = _json.loads(pj)
                 tables = [
-                    segment_topk(r, plan, k, wand, deleted=dmask)
+                    segment_topk(r, plan, k, deleted=dmask)
                     for r, dmask in zip(self.readers, self.deleted)
                 ]
                 self._cache[key] = tables
@@ -338,8 +338,7 @@ class _PoolWorker:
             for r, d in zip(self.readers, self.deleted)
         )
 
-    def highlight(self, plans: dict[str, str], k: int, wand: bool,
-                  field: str, source: str):
+    def highlight(self, plans: dict[str, str], k: int, field: str, source: str):
         """Shard-local top-k WITH highlight spans: spans are computed inside
         the actor from its own readers (stored-text retokenize or indexed
         offsets), so the driver never loads segment data — the 100 TB
@@ -356,7 +355,7 @@ class _PoolWorker:
             plan = _json.loads(pj)
             terms = sorted(plan_terms(plan["root"], field))
             for r, dmask in zip(self.readers, self.deleted):
-                t = segment_topk(r, plan, k, wand, deleted=dmask)
+                t = segment_topk(r, plan, k, deleted=dmask)
                 if t.num_rows == 0:
                     continue
                 texts, spans, _ok = spans_for_hits(r, t, terms, field, source)
@@ -454,7 +453,7 @@ class QueryPool:
             for sh in shards
         ]
 
-    def search(self, queries: dict[str, Filter], k: int = 10, wand: bool = True,
+    def search(self, queries: dict[str, Filter], k: int = 10,
                scorer: ScorerCfg | None = None) -> pd.DataFrame:
         import ray
 
@@ -462,7 +461,7 @@ class QueryPool:
             qid: json.dumps(self.searcher.prepare(f, scorer).plan)
             for qid, f in queries.items()
         }
-        tables = ray.get([a.run.remote(plans, k, wand) for a in self.actors])
+        tables = ray.get([a.run.remote(plans, k) for a in self.actors])
         frames = pa.concat_tables(tables).to_pandas()
         return merge_topk(frames, k)
 
@@ -470,7 +469,6 @@ class QueryPool:
         self,
         queries: dict[str, Filter],
         k: int = 10,
-        wand: bool = True,
         scorer: ScorerCfg | None = None,
         field: str = "text",
         source: str = "stored",
@@ -489,7 +487,7 @@ class QueryPool:
         tables = [
             t
             for t in ray.get(
-                [a.highlight.remote(plans, k, wand, field, source) for a in self.actors]
+                [a.highlight.remote(plans, k, field, source) for a in self.actors]
             )
             if t is not None
         ]
@@ -517,8 +515,7 @@ def search(
     index_dir: str,
     flt: Filter,
     k: int = 10,
-    wand: bool = True,
     scorer: ScorerCfg | None = None,
 ) -> pd.DataFrame:
     """Convenience one-shot local search."""
-    return Searcher(index_dir).search_local(flt, k=k, wand=wand, scorer=scorer)
+    return Searcher(index_dir).search_local(flt, k=k, scorer=scorer)

@@ -503,7 +503,7 @@ class ViewSearcher:
             raise KeyError(f"no link(s) {sorted(unknown)} in view")
         return [c for c in self.collections if c in set(collections)]
 
-    def search_local(self, flt, k: int = 10, wand: bool = True, scorer=None,
+    def search_local(self, flt, k: int = 10, scorer=None,
                      collections=None) -> pd.DataFrame:
         """``collections=`` restricts the fan-out to the named links —
         whole sub-indexes are pruned, not post-filtered (the per-collection
@@ -514,7 +514,7 @@ class ViewSearcher:
         for concurrent fan-out in serving."""
         frames = []
         for c in self._targets(collections):
-            f = self.searchers[c].search_local(flt, k=k, wand=wand, scorer=scorer)
+            f = self.searchers[c].search_local(flt, k=k, scorer=scorer)
             f.insert(0, "collection", c)
             frames.append(f)
         return _merge_view_topk(frames, k)
@@ -533,7 +533,7 @@ class ViewSearcher:
             frames.append(f)
         return _merge_view_topk(frames, k)
 
-    def search_pooled(self, queries: dict, k: int = 10, wand: bool = True, scorer=None,
+    def search_pooled(self, queries: dict, k: int = 10, scorer=None,
                       num_actors: int = 8, collections=None) -> pd.DataFrame:
         """``num_actors`` is a VIEW-level actor budget shared across links,
         not a per-link count: it is floor-divided over the targeted links
@@ -556,7 +556,7 @@ class ViewSearcher:
                 s._pool = QueryPool(s.index_dir, num_actors=per_link, searcher=s)
             pool = s._pool
             plans = {qid: json.dumps(s.prepare(f, scorer).plan) for qid, f in queries.items()}
-            pending.append((c, [a.run.remote(plans, k, wand) for a in pool.actors]))
+            pending.append((c, [a.run.remote(plans, k) for a in pool.actors]))
         import pyarrow as pa
 
         for c, refs in pending:

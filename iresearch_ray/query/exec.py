@@ -1,4 +1,4 @@
-"""Per-segment query execution — SURVEY.md §2.5/§2.8 (the doc_iterator layer).
+"""Per-segment query execution — SURVEY.md §2.5 (the doc_iterator layer).
 
 The reference's pull-based iterator trees (conjunction leapfrog, disjunction
 heaps — ref: core/search/conjunction.hpp, disjunction.hpp, exclusion.hpp) are
@@ -9,13 +9,9 @@ exclusion = a searchsorted membership mask.  Rank-identity is preserved by pinne
 term-at-a-time accumulation and the (score desc, conv_id, turn_idx) total
 order (SURVEY §2.6 tie-break).
 
-``eval_union_wand`` is the block-max WAND analog (SURVEY §2.8, Ding & Suel
-2011 adapted to term-at-a-time): legs are processed in descending score
-upper bound; once the suffix upper bound drops strictly below the running
-k-th partial score, the candidate set is frozen and later legs decode ONLY
-the posting blocks containing surviving candidates (skip-list +
-``block_last_doc`` targeting) — an optimization, never semantic: results are
-asserted identical with wand on/off (SURVEY §5.2 item 5).
+Top-k is exhaustive: ``segment_topk`` scores the whole plan, then cuts to k.
+Posting decodes go through the reader's LRU posting cache, so warm queries
+reuse decoded postings instead of re-reading varint blocks.
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ import numpy as np
 import pyarrow as pa
 
 from iresearch_ray.functions.codec import (
-    BLOCK_SIZE,
-    decode_blocks,
     decode_positions,
     decode_postings,
     varint_decode,
@@ -83,7 +77,6 @@ class _TermCursor:
 
     def __init__(self, reader: SegmentReader, node: dict):
         self.reader = reader
-        self.node = node
         self.row = reader.term_row(node["field"], node["term"])
 
     @property
@@ -108,35 +101,6 @@ class _TermCursor:
                 np.asarray(self._col("block_doc_count"), dtype=np.int64),
             ),
         )
-
-    def upper_bound(self, avg_dl: float, scorer: dict) -> float:
-        """Term-level score upper bound: max tf paired with MIN dl
-        (monotonicity argument — SURVEY §7.4 watch-list)."""
-        if self.row is None:
-            return 0.0
-        max_tf = np.array([self._col("max_tf")], dtype=np.int64)
-        min_dl = np.array([max(1, self._col("min_dl"))], dtype=np.int64)
-        return float(self.node["weight"]) * float(
-            _tf_factor(max_tf, min_dl, avg_dl, scorer)[0]
-        )
-
-    def decode_candidates(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Decode only blocks that can contain any of ``candidates`` (sorted),
-        then intersect — the skip-list read path."""
-        if self.row is None or candidates.size == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        block_last = np.asarray(self._col("block_last_doc"), dtype=np.int64)
-        block_off = np.asarray(self._col("block_off"), dtype=np.int64)
-        block_cnt = np.asarray(self._col("block_doc_count"), dtype=np.int64)
-        which = np.unique(np.searchsorted(block_last, candidates, side="left"))
-        which = which[which < block_last.size]
-        if which.size == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        docs, tfs = decode_blocks(
-            self._col("doc_blob"), block_off, block_last, block_cnt, which
-        )
-        keep = _member_sorted(docs, candidates)
-        return docs[keep], tfs[keep]
 
     def packed_keys(self, sel_docs: np.ndarray) -> np.ndarray:
         """Sorted packed ``doc<<21 | pos`` keys for the selected (sorted)
@@ -257,21 +221,6 @@ def _eval_term_union_bulk(
         counts = np.bincount(inv, minlength=uniq.size)
         keep = counts >= mm
         return uniq[keep], summed[keep]
-    return uniq, summed
-
-
-def _merge_add(
-    docs_a: np.ndarray, sc_a: np.ndarray, docs_b: np.ndarray, sc_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Union of two sorted (docs, scores), summing scores on overlap."""
-    if docs_a.size == 0:
-        return docs_b, sc_b
-    if docs_b.size == 0:
-        return docs_a, sc_a
-    docs = np.concatenate([docs_a, docs_b])
-    scores = np.concatenate([sc_a, sc_b])
-    uniq, inv = np.unique(docs, return_inverse=True)
-    summed = np.bincount(inv, weights=scores, minlength=uniq.size)
     return uniq, summed
 
 
@@ -748,77 +697,6 @@ def _eval_ngram_similarity(reader: SegmentReader, node: dict, scorer: dict) -> t
     return docs, scores
 
 
-# ---------------------------------------------------------------------------
-# block-max WAND (term-at-a-time upper-bound pruning) — SURVEY §2.8
-# ---------------------------------------------------------------------------
-
-def _wand_applicable(root: dict, scorer: dict | None = None) -> bool:
-    # WAND pays when a few high-impact legs can bound out the rest; for wide
-    # multiterm unions (prefix/wildcard expansions) the per-leg incremental
-    # merge is O(L·n) while the counting union is one concat+unique — so wide
-    # unions take the eval_node path (identical results, SURVEY §5.2 item 5)
-    # negative leg weights would break the WAND invariant that accumulated
-    # scores only grow (pruning could drop true top-k docs) — such unions
-    # fall back to the exact eval_node path
-    if scorer is not None and scorer.get("name") not in ("bm25", "tfidf"):
-        # custom registry scorers may not be monotone in (tf, -dl) — the
-        # block-max upper bound would be invalid; unless the registration
-        # declares monotone=True, fall back to exact eval
-        from iresearch_ray.functions.score import SCORERS
-
-        entry = SCORERS.get(scorer.get("name"), {})
-        if not entry.get("monotone", False):
-            return False
-    return (
-        root["op"] == "union"
-        and int(root.get("min_match", 1)) <= 1
-        and len(root["children"]) <= 16
-        and all(c["op"] == "term" and c["weight"] >= 0 for c in root["children"])
-    )
-
-
-def eval_union_wand(
-    reader: SegmentReader, root: dict, scorer: dict, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    children = root["children"]
-    cursors = [_TermCursor(reader, c) for c in children]
-    pairs = [(c, cur) for c, cur in zip(children, cursors) if cur.present]
-    if not pairs:
-        return _EMPTY
-    avg_dl = pairs[0][0]["avg_dl"]
-    ubs = np.array([cur.upper_bound(avg_dl, scorer) for _, cur in pairs])
-    order = np.argsort(-ubs, kind="stable")
-    pairs = [pairs[i] for i in order]
-    ubs = ubs[order]
-    suffix_ub = np.concatenate([np.cumsum(ubs[::-1])[::-1][1:], [0.0]])
-
-    dls_all = _field_dls(reader, pairs[0][0]["field"])
-    acc_docs = np.empty(0, np.int64)
-    acc_scores = np.empty(0, np.float64)
-    candidates: np.ndarray | None = None
-
-    for i, (node, cur) in enumerate(pairs):
-        if candidates is None:
-            docs, tfs = cur.decode_all()
-        else:
-            docs, tfs = cur.decode_candidates(candidates)
-        if docs.size:
-            scores = node["weight"] * _tf_factor(tfs, dls_all[docs - 1], avg_dl, scorer)
-            acc_docs, acc_scores = _merge_add(
-                acc_docs, acc_scores, docs, scores.astype(np.float64)
-            )
-        R = float(suffix_ub[i])
-        if acc_docs.size > k and R > 0.0:
-            kth = float(np.partition(acc_scores, acc_docs.size - k)[acc_docs.size - k])
-            if R < kth:
-                keep = acc_scores + R >= kth
-                acc_docs, acc_scores = acc_docs[keep], acc_scores[keep]
-                candidates = acc_docs
-        elif candidates is not None:
-            candidates = acc_docs
-    return acc_docs, acc_scores
-
-
 def segment_topk(
     reader: SegmentReader,
     plan: dict,
@@ -830,29 +708,16 @@ def segment_topk(
     (conv_id, turn_idx, score) under the pinned total order.
 
     ``deleted`` is the document-mask side file applied at query time
-    (SURVEY §2.3): True at doc_id-1 excludes the doc from results.  WAND is
-    disabled while a mask is active — masked docs could inflate the running
-    k-th-score threshold and prune live candidates (the mask is transient:
-    consolidation purges it)."""
-    scorer = plan["scorer"]
-    root = plan["root"]
-    if deleted is not None:
-        wand = False
-    if k <= 0:
-        return pa.table(
-            {
-                "conv_id": pa.array([], pa.string()),
-                "turn_idx": pa.array([], pa.int32()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    if wand and _wand_applicable(root, scorer):
-        docs, scores = eval_union_wand(reader, root, scorer, k)
-    else:
-        docs, scores = eval_node(reader, root, scorer, deleted)
-    if deleted is not None and docs.size:
-        keep = ~deleted[docs - 1]
-        docs, scores = docs[keep], scores[keep]
+    (SURVEY §2.3): True at doc_id-1 excludes the doc from results.
+
+    ``wand`` is ignored: there is one evaluation path; the parameter is
+    kept until perfbench drops it (ROADMAP F12)."""
+    docs, scores = _EMPTY
+    if k > 0:
+        docs, scores = eval_node(reader, plan["root"], plan["scorer"], deleted)
+        if deleted is not None and docs.size:
+            keep = ~deleted[docs - 1]
+            docs, scores = docs[keep], scores[keep]
     if docs.size == 0:
         return pa.table(
             {
@@ -889,8 +754,7 @@ def segment_count(reader: SegmentReader, plan: dict, deleted: np.ndarray | None 
     """Scoreless hit count for one segment (the COUNT collector analog —
     ArangoSearch `COUNT`): full boolean evaluation of the prepared plan,
     no top-k reduction, no doc-key gather, mask applied.  Same matching
-    semantics as segment_topk with wand off (WAND can't help a count — it
-    prunes by score threshold, and a count needs every match)."""
+    semantics as segment_topk."""
     docs, _ = eval_node(reader, plan["root"], plan["scorer"], deleted)
     if deleted is not None and docs.size:
         docs = docs[~deleted[docs - 1]]

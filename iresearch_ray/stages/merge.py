@@ -53,8 +53,6 @@ def _concat_term_postings(parts: list[tuple[dict, int]]) -> dict:
     bl_off: list[int] = []
     p_off: list[int] = []
     o_off: list[int] = []
-    bl_maxtf: list[int] = []
-    bl_mindl: list[int] = []
     bl_cnt: list[int] = []
     prev_last = 0
     # offsets/payloads survive the merge only if EVERY part carries them —
@@ -85,8 +83,6 @@ def _concat_term_postings(parts: list[tuple[dict, int]]) -> dict:
         out_doc += blob[first_len:]
         bl_last += [x + offset for x in row["block_last_doc"]]
         bl_cnt += list(row["block_doc_count"])
-        bl_maxtf += list(row["block_max_tf"])
-        bl_mindl += list(row["block_min_dl"])
         pos_base = len(out_pos)
         p_off += [pos_base + x for x in row["pos_off"]]
         out_pos += row["pos_blob"]
@@ -104,15 +100,11 @@ def _concat_term_postings(parts: list[tuple[dict, int]]) -> dict:
     return {
         "df": sum(r["df"] for r, _ in parts),
         "cf": sum(r["cf"] for r, _ in parts),
-        "max_tf": max(r["max_tf"] for r, _ in parts),
-        "min_dl": min(r["min_dl"] for r, _ in parts),
         "doc_blob": bytes(out_doc),
         "pos_blob": bytes(out_pos),
         "block_last_doc": bl_last,
         "block_off": bl_off,
         "pos_off": p_off,
-        "block_max_tf": bl_maxtf,
-        "block_min_dl": bl_mindl,
         "block_doc_count": bl_cnt,
         "off_blob": bytes(out_offs),
         "off_off": o_off,
@@ -309,8 +301,6 @@ def splice_term_runs(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
     # ---- scalar stats -----------------------------------------------------
     df = np.add.reduceat(t["df"].to_numpy(zero_copy_only=False), run_starts)
     cf = np.add.reduceat(t["cf"].to_numpy(zero_copy_only=False), run_starts)
-    max_tf = np.maximum.reduceat(t["max_tf"].to_numpy(zero_copy_only=False), run_starts)
-    min_dl = np.minimum.reduceat(t["min_dl"].to_numpy(zero_copy_only=False), run_starts)
 
     def _bin_out(offsets64: np.ndarray, data: np.ndarray) -> pa.Array:
         return pa.LargeBinaryArray.from_buffers(
@@ -331,8 +321,6 @@ def splice_term_runs(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
             "term": pa.array(terms[run_starts], pa.string()),
             "df": pa.array(df, pa.int64()),
             "cf": pa.array(cf, pa.int64()),
-            "max_tf": pa.array(max_tf, pa.int64()),
-            "min_dl": pa.array(min_dl, pa.int64()),
             "doc_blob": _bin_out(run_doc_off - run_doc_off[0], out_doc),
             "pos_blob": _bin_out(
                 run_pos_off - run_pos_off[0], pdata[pvo[run_starts[0]] : pvo[-1]]
@@ -340,8 +328,6 @@ def splice_term_runs(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
             "block_last_doc": _list_out(run_lo(lbl_lo), lbl_out),
             "block_off": _list_out(run_lo(boff_lo), boff_out),
             "pos_off": _list_out(run_lo(poff_lo), poff_out),
-            "block_max_tf": _list_out(run_lo(boff_lo), _list("block_max_tf")[1]),
-            "block_min_dl": _list_out(run_lo(boff_lo), _list("block_min_dl")[1]),
             "block_doc_count": _list_out(run_lo(boff_lo), _list("block_doc_count")[1]),
             "off_blob": _bin_out(run_off_off, out_off_data),
             "off_off": _list_out(run_ooff_lo, ooff_out),

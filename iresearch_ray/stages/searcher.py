@@ -1,7 +1,7 @@
 """Per-segment query work — the map function of ``Searcher.search_ray``
 (SURVEY.md §3.2).
 
-``search_batch_task`` runs one batch of (seg_dir, query_id, plan, k, wand)
+``search_batch_task`` runs one batch of (seg_dir, query_id, plan, k)
 work items as a Ray task in a prestarted worker process: no actor spawn or
 import before the first posting block is read.  Segment readers, parsed
 plans and deleted-doc masks are opened lazily and shared within the call
@@ -70,17 +70,16 @@ def search_batch_task(
         return masks[seg_dir]
 
     out: list[pa.Table] = []
-    for seg_dir, qid, plan_json, k, wand in zip(
+    for seg_dir, qid, plan_json, k in zip(
         batch["seg_dir"].to_pylist(),
         batch["query_id"].to_pylist(),
         batch["plan"].to_pylist(),
         batch["k"].to_pylist(),
-        batch["wand"].to_pylist(),
     ):
         if plan_json not in plans:
             plans[plan_json] = json.loads(plan_json)
         t = segment_topk(
-            reader(seg_dir), plans[plan_json], int(k), bool(wand), deleted=deleted(seg_dir)
+            reader(seg_dir), plans[plan_json], int(k), deleted=deleted(seg_dir)
         )
         out.append(
             pa.table(

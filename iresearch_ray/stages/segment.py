@@ -3,9 +3,9 @@
 A segment is an immutable directory of Arrow/Parquet artifacts (SURVEY §1.2):
 
     seg-<name>/
-      terms.parquet   term-ordered: field, term, df, cf, max_tf, min_dl,
-                      doc_blob, pos_blob, block_last_doc[], block_off[],
-                      pos_off[], block_max_tf[], block_min_dl[], block_doc_count[]
+      terms.parquet   term-ordered: field, term, df, cf, doc_blob, pos_blob,
+                      block_last_doc[], block_off[], pos_off[],
+                      block_doc_count[] (+ off/pay streams, see TERMS_SCHEMA)
       docs.parquet    docid-ordered: doc_id, conv_id, turn_idx, role, tool,
                       ts, dl (+ text when cfg.store_text)
       meta.json       name, docs_count, per-field stats, lineage, metrics
@@ -51,15 +51,11 @@ TERMS_SCHEMA = pa.schema(
         ("term", pa.string()),
         ("df", pa.int64()),
         ("cf", pa.int64()),
-        ("max_tf", pa.int64()),
-        ("min_dl", pa.int64()),
         ("doc_blob", pa.large_binary()),
         ("pos_blob", pa.large_binary()),
         ("block_last_doc", pa.list_(pa.int64())),
         ("block_off", pa.list_(pa.int64())),
         ("pos_off", pa.list_(pa.int64())),
-        ("block_max_tf", pa.list_(pa.int64())),
-        ("block_min_dl", pa.list_(pa.int64())),
         ("block_doc_count", pa.list_(pa.int64())),
         # per-occurrence character offsets (the `offs` token attribute),
         # present only when built with IndexConfig(offsets=True); empty
@@ -148,13 +144,12 @@ def _postings_for_field(
     field_name: str,
     term_lists: list[list[str]],
     doc_ids: np.ndarray,
-    dls: np.ndarray,
     with_positions: bool,
     offs: tuple[np.ndarray, np.ndarray] | None = None,
     pays: np.ndarray | None = None,
 ) -> pa.Table:
     """Vectorized postings for one field (returns a TERMS_SCHEMA table):
-    explode → factorize → lexsort → bulk encode.  ``dls`` is the per-doc field length used for norms.
+    explode → factorize → lexsort → bulk encode.
     ``offs`` = flat (char_start, char_end) arrays parallel to the exploded
     occurrence stream (doc order, position order) when indexing offsets;
     ``pays`` = object array of per-occurrence payload bytes, same order."""
@@ -164,13 +159,12 @@ def _postings_for_field(
         return TERMS_SCHEMA.empty_table()
     flat = [t for toks in term_lists for t in toks]
     doc_rep = np.repeat(doc_ids, lens)
-    dl_rep = np.repeat(dls, lens)
     # position of each occurrence within its doc
     starts = np.cumsum(lens) - lens
     pos = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
     codes, uniques = pd.factorize(np.asarray(flat, dtype=object), sort=True)
     return _postings_from_codes(
-        field_name, codes, uniques, doc_rep, dl_rep, pos, with_positions, offs, pays
+        field_name, codes, uniques, doc_rep, pos, with_positions, offs, pays
     )
 
 
@@ -179,7 +173,6 @@ def _postings_from_codes(
     codes: np.ndarray,
     uniques,
     doc_rep: np.ndarray,
-    dl_rep: np.ndarray,
     pos: np.ndarray,
     with_positions: bool,
     offs: tuple[np.ndarray, np.ndarray] | None = None,
@@ -191,7 +184,7 @@ def _postings_from_codes(
     total = codes.size
     # group by (term, doc); positions already ascending within (doc) by construction
     order = np.lexsort((pos, doc_rep, codes))
-    codes_s, docs_s, pos_s, dl_s = codes[order], doc_rep[order], pos[order], dl_rep[order]
+    codes_s, docs_s, pos_s = codes[order], doc_rep[order], pos[order]
     offs_s = (offs[0][order], offs[1][order]) if offs is not None else None
     pays_s = pays[order] if pays is not None else None
     # (term, doc) run boundaries
@@ -202,7 +195,6 @@ def _postings_from_codes(
     tf = np.diff(np.append(pair_starts, total))
     pair_term = codes_s[pair_starts]
     pair_doc = docs_s[pair_starts]
-    pair_dl = dl_s[pair_starts]
     # term run boundaries over pairs
     new_term = np.empty(pair_term.size, dtype=bool)
     new_term[0] = True
@@ -220,7 +212,7 @@ def _postings_from_codes(
         from iresearch_ray.functions.codec import encode_postings_bulk
 
         enc = encode_postings_bulk(
-            pair_doc, tf, pair_dl, term_starts, term_ends,
+            pair_doc, tf, term_starts, term_ends,
             pos_s if with_positions else None,
         )
         n_terms = term_starts.size
@@ -251,8 +243,6 @@ def _postings_from_codes(
                 "term": pa.array(uniques[pair_term[term_starts]], pa.string()),
                 "df": pa.array(enc["df"], pa.int64()),
                 "cf": pa.array(enc["cf"], pa.int64()),
-                "max_tf": pa.array(enc["max_tf"], pa.int64()),
-                "min_dl": pa.array(enc["min_dl"], pa.int64()),
                 "doc_blob": lbin(enc["doc_blob"], enc["term_doc_bounds"]),
                 "pos_blob": (
                     lbin(enc["pos_blob"], enc["term_pos_bounds"])
@@ -264,8 +254,6 @@ def _postings_from_codes(
                 "pos_off": ilist(
                     enc["pos_off"] if has_pos else np.zeros(n_blocks, np.int64)
                 ),
-                "block_max_tf": ilist(enc["block_max_tf"]),
-                "block_min_dl": ilist(enc["block_min_dl"]),
                 "block_doc_count": ilist(enc["block_doc_count"]),
                 "off_blob": lbin(b"", zero_bounds),
                 "off_off": empty_list,
@@ -278,7 +266,6 @@ def _postings_from_codes(
     for ts_i, te_i in zip(term_starts, term_ends):
         t_docs = pair_doc[ts_i:te_i]
         t_tfs = tf[ts_i:te_i]
-        t_dls = pair_dl[ts_i:te_i]
         t_pos = (
             pos_s[occ_starts[ts_i]: occ_ends[te_i - 1]] if with_positions else None
         )
@@ -295,22 +282,18 @@ def _postings_from_codes(
             if pays_s is not None
             else None
         )
-        blob = encode_postings(t_docs, t_tfs, t_dls, t_pos, t_offs, t_pays)
+        blob = encode_postings(t_docs, t_tfs, t_pos, t_offs, t_pays)
         rows.append(
             {
                 "field": field_name,
                 "term": str(uniques[pair_term[ts_i]]),
                 "df": int(t_docs.size),
                 "cf": int(t_tfs.sum()),
-                "max_tf": int(t_tfs.max()),
-                "min_dl": int(t_dls.min()),
                 "doc_blob": blob.doc_blob,
                 "pos_blob": blob.pos_blob,
                 "block_last_doc": blob.block_last_doc.tolist(),
                 "block_off": blob.block_off.tolist(),
                 "pos_off": blob.pos_off.tolist(),
-                "block_max_tf": blob.block_max_tf.tolist(),
-                "block_min_dl": blob.block_min_dl.tolist(),
                 "block_doc_count": blob.block_doc_count.tolist(),
                 "off_blob": blob.off_blob,
                 "off_off": blob.off_off.tolist() if blob.off_off is not None else [],
@@ -402,7 +385,6 @@ def build_segment_tables(
                 codes,
                 uniq,
                 doc_ids[parent],
-                dls[parent],
                 pos,
                 cfg.positions,
                 offs,
@@ -432,7 +414,7 @@ def build_segment_tables(
             offs = None
         dls = np.fromiter((len(t) for t in token_lists), dtype=np.int64, count=n)
         term_tables.append(_postings_for_field(
-            cfg.text_field, token_lists, doc_ids, dls, cfg.positions, offs, pays
+            cfg.text_field, token_lists, doc_ids, cfg.positions, offs, pays
         ))
     field_stats[cfg.text_field] = {
         # docs_with_field counts docs producing >=1 token (null/empty text has
@@ -448,7 +430,7 @@ def build_segment_tables(
         vals = rows[f].to_pylist()
         kw_lists = kw(vals)
         kw_dls = np.fromiter((len(t) for t in kw_lists), dtype=np.int64, count=n)
-        term_tables.append(_postings_for_field(f, kw_lists, doc_ids, kw_dls, False))
+        term_tables.append(_postings_for_field(f, kw_lists, doc_ids, False))
         field_stats[f] = {
             "docs_with_field": int((kw_dls > 0).sum()),
             "total_term_freq": int(kw_dls.sum()),
@@ -464,8 +446,7 @@ def build_segment_tables(
         vals = np.where(valid, col.to_numpy(zero_copy_only=False), 0).astype(np.int64)
         all_terms = numeric_trie_terms(vals)
         num_lists = [t if ok else [] for t, ok in zip(all_terms, valid)]
-        num_dls = valid.astype(np.int64)
-        term_tables.append(_postings_for_field(f, num_lists, doc_ids, num_dls, False))
+        term_tables.append(_postings_for_field(f, num_lists, doc_ids, False))
         field_stats[f] = {
             "docs_with_field": int(valid.sum()),
             "total_term_freq": int(valid.sum()),
@@ -481,7 +462,7 @@ def build_segment_tables(
             (1 if t else 0 for t in geo_lists), dtype=np.int64, count=n
         )  # one point per doc regardless of prefix fan-out
         term_tables.append(
-            _postings_for_field(f, geo_lists, doc_ids, geo_dls, False)
+            _postings_for_field(f, geo_lists, doc_ids, False)
         )
         field_stats[f] = {
             "docs_with_field": int(geo_dls.sum()),
@@ -499,7 +480,7 @@ def build_segment_tables(
         kw_fields, num_fields = dynamic_postings(f, rows[f].to_pylist(), n)
         for dyn, lists in sorted(kw_fields.items()):
             d_dls = np.fromiter((len(t) for t in lists), dtype=np.int64, count=n)
-            term_tables.append(_postings_for_field(dyn, lists, doc_ids, d_dls, False))
+            term_tables.append(_postings_for_field(dyn, lists, doc_ids, False))
             field_stats[dyn] = {
                 "docs_with_field": int((d_dls > 0).sum()),
                 "total_term_freq": int(d_dls.sum()),
@@ -507,7 +488,7 @@ def build_segment_tables(
         for dyn, (occ_rows, occ_vals) in sorted(num_fields.items()):
             lists = numeric_token_lists(occ_rows, occ_vals, n)
             d_dls = np.bincount(occ_rows, minlength=n).astype(np.int64)
-            term_tables.append(_postings_for_field(dyn, lists, doc_ids, d_dls, False))
+            term_tables.append(_postings_for_field(dyn, lists, doc_ids, False))
             stats = field_stats.setdefault(
                 dyn, {"docs_with_field": 0, "total_term_freq": 0}
             )  # a path can be string in one doc, number in another

@@ -34,8 +34,8 @@ partitions, the driver finalizes metadata only):
       split a mixed-hotness term into a salted group PLUS a cold salt=-1
       group whose segment ranks interleave with the salted ranges — the
       final merge orders partials by first rank only, so the merged
-      postings would come out doc-id-unsorted (breaking Not, WAND skips
-      and phrase membership).  The global pre-pass keeps every stage-1
+      postings would come out doc-id-unsorted (breaking Not, skip-list
+      targeting and phrase membership).  The global pre-pass keeps every stage-1
       group a contiguous rank range.
   stage 2 (groupby shard): ≤ num_salts partials per term merge in rank
       order, then the task WRITES its shard's term-range part file

@@ -6,7 +6,7 @@ field_collector/term_collector).  Here:
 
 - field stats (N = docs_with_field, total_term_freq ⇒ avg_dl) are summed from
   the per-segment meta.json entries — O(#segments), no data read.
-- the global term dictionary (field, term → df, cf, max_tf, min_dl) is the
+- the global term dictionary (field, term → df, cf) is the
   union of per-segment term tables WITHOUT the posting blobs, cached on disk
   per generation (``stats-g{N}.parquet`` file, or a ``stats-g{N}.statsd/``
   directory written DISTRIBUTED by Ray when the merge itself is wide).
@@ -46,15 +46,13 @@ RAY_MERGE_THRESHOLD = 64  # above this many segments, merge dictionaries via Ray
 STATS_ROW_GROUP = 32_768  # small row groups => tight pushdown pruning
 DEFAULT_MEM_LIMIT = int(os.environ.get("IRE_STATS_MEM", 256 << 20))
 
-_STATS_COLS = ["field", "term", "df", "cf", "max_tf", "min_dl"]
+_STATS_COLS = ["field", "term", "df", "cf"]
 _STATS_SCHEMA = pa.schema(
     [
         ("field", pa.string()),
         ("term", pa.string()),
         ("df", pa.int64()),
         ("cf", pa.int64()),
-        ("max_tf", pa.int64()),
-        ("min_dl", pa.int64()),
     ]
 )
 # bounded per-process LRU: long-lived serving processes open a new Searcher
@@ -400,9 +398,9 @@ def _merge_term_tables(tables: list[pa.Table]) -> pa.Table:
     if merged.num_rows == 0:
         return merged
     out = pa.TableGroupBy(merged, ["field", "term"]).aggregate(
-        [("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("min_dl", "min")]
+        [("df", "sum"), ("cf", "sum")]
     )
-    out = out.rename_columns(["field", "term", "df", "cf", "max_tf", "min_dl"])
+    out = out.rename_columns(_STATS_COLS)
     return out.sort_by([("field", "ascending"), ("term", "ascending")])
 
 
@@ -414,23 +412,15 @@ def _merge_with_ray_to_dir(paths: list[str], out_dir: str) -> None:
     of the sort-based groupby are internally key-sorted, so parquet
     row-group stats stay tight for pushdown probes."""
     import ray.data as rd
+    from ray.data.aggregate import Sum
 
     ds = rd.read_parquet(paths, columns=_STATS_COLS)
-    ds = ds.groupby(["field", "term"]).aggregate(*_ray_aggs())
+    ds = ds.groupby(["field", "term"]).aggregate(
+        Sum("df", alias_name="df"), Sum("cf", alias_name="cf")
+    )
     tmp = f"{out_dir}.tmp.{os.getpid()}.{next(_STAGE_SEQ)}"
     ds.write_parquet(tmp)
     os.replace(tmp, out_dir)
-
-
-def _ray_aggs():
-    from ray.data.aggregate import Max, Min, Sum
-
-    return [
-        Sum("df", alias_name="df"),
-        Sum("cf", alias_name="cf"),
-        Max("max_tf", alias_name="max_tf"),
-        Min("min_dl", alias_name="min_dl"),
-    ]
 
 
 def _stats_paths(index_dir: str, gen: int) -> tuple[str, str]:

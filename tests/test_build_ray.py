@@ -257,6 +257,6 @@ def test_pooled_count_parity(ray_session, tmp_path):
     q = F.Or((F.Term("text", "agent"), F.Term("text", "error")))
     local = s.count(q)
     pooled = s.count(q, pooled=True, num_actors=3)
-    full = len(s.search_local(q, k=10**9, wand=False))
+    full = len(s.search_local(q, k=10**9))
     assert local == pooled == full > 0
     s.close()

@@ -1,8 +1,8 @@
 """Codec conformance — SURVEY §5.2 item 2 (the formats_test_case_base analog).
 
 Seeded randomized round-trips over the FIXTURES §5 shapes: doc counts
-spanning block boundaries, gap distributions, Zipf tfs; plus skip-decode
-equivalence and block-max upper-bound soundness under the pinned BM25.
+spanning block boundaries, gap distributions, Zipf tfs; plus skip-pointer
+placement and bulk/per-term encode byte parity.
 """
 
 import numpy as np
@@ -10,14 +10,12 @@ import pytest
 
 from iresearch_ray.functions.codec import (
     BLOCK_SIZE,
-    decode_blocks,
     decode_positions,
     decode_postings,
     encode_postings,
     varint_decode,
     varint_encode,
 )
-from iresearch_ray.functions.score import bm25_tf_factor
 
 SHAPES = [1, 2, 127, 128, 129, 1000]
 
@@ -53,40 +51,17 @@ def test_varint_empty():
 @pytest.mark.parametrize("gap_max", [1, 16, 1_000_000])
 def test_postings_roundtrip(n, gap_max):
     rng = np.random.default_rng(n * 1000 + gap_max)
-    doc_ids, tfs, dls, positions = _rand_postings(n, gap_max, rng)
-    blob = encode_postings(doc_ids, tfs, dls, positions)
+    doc_ids, tfs, _, positions = _rand_postings(n, gap_max, rng)
+    blob = encode_postings(doc_ids, tfs, positions)
     out_docs, out_tfs = decode_postings(blob.doc_blob)
     assert np.array_equal(out_docs, doc_ids)
     assert np.array_equal(out_tfs, tfs)
 
 
-@pytest.mark.parametrize("n", [129, 1000])
-def test_block_decode_matches_full(n):
-    rng = np.random.default_rng(n)
-    doc_ids, tfs, dls, positions = _rand_postings(n, 16, rng)
-    blob = encode_postings(doc_ids, tfs, dls, positions)
-    nblocks = blob.block_off.size
-    # decode every block individually and reassemble
-    which = np.arange(nblocks)
-    out_docs, out_tfs = decode_blocks(
-        blob.doc_blob, blob.block_off, blob.block_last_doc, blob.block_doc_count, which
-    )
-    assert np.array_equal(out_docs, doc_ids)
-    assert np.array_equal(out_tfs, tfs)
-    # skip decode: only block 1
-    d1, t1 = decode_blocks(
-        blob.doc_blob, blob.block_off, blob.block_last_doc, blob.block_doc_count,
-        np.array([1]),
-    )
-    s, e = BLOCK_SIZE, min(2 * BLOCK_SIZE, n)
-    assert np.array_equal(d1, doc_ids[s:e])
-    assert np.array_equal(t1, tfs[s:e])
-
-
 def test_skip_pointers_land_correctly():
     rng = np.random.default_rng(5)
-    doc_ids, tfs, dls, positions = _rand_postings(1000, 10, rng)
-    blob = encode_postings(doc_ids, tfs, dls, positions)
+    doc_ids, tfs, _, positions = _rand_postings(1000, 10, rng)
+    blob = encode_postings(doc_ids, tfs, positions)
     for b in range(blob.block_off.size):
         e = min((b + 1) * BLOCK_SIZE, 1000)
         assert blob.block_last_doc[b] == doc_ids[e - 1]
@@ -95,28 +70,14 @@ def test_skip_pointers_land_correctly():
 @pytest.mark.parametrize("n", [1, 127, 129, 1000])
 def test_positions_roundtrip(n):
     rng = np.random.default_rng(n + 77)
-    doc_ids, tfs, dls, positions = _rand_postings(n, 16, rng)
-    blob = encode_postings(doc_ids, tfs, dls, positions)
+    doc_ids, tfs, _, positions = _rand_postings(n, 16, rng)
+    blob = encode_postings(doc_ids, tfs, positions)
     nblocks = blob.pos_off.size
     got = []
     for b in range(nblocks):
         got.append(decode_positions(blob.pos_blob, blob.pos_off, tfs, b, nblocks))
     got = np.concatenate(got)
     assert np.array_equal(got, positions)
-
-
-def test_block_max_bound_sound():
-    """block upper bound (max tf, MIN dl) >= any true in-block score —
-    SURVEY §7.4 watch-list item."""
-    rng = np.random.default_rng(11)
-    doc_ids, tfs, dls, positions = _rand_postings(1000, 16, rng)
-    blob = encode_postings(doc_ids, tfs, dls, positions)
-    avg_dl = float(dls.mean())
-    true_scores = bm25_tf_factor(tfs.astype(float), dls.astype(float), avg_dl)
-    for b in range(blob.block_off.size):
-        s, e = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, 1000)
-        ub = bm25_tf_factor(float(blob.block_max_tf[b]), float(blob.block_min_dl[b]), avg_dl)
-        assert ub >= true_scores[s:e].max() - 1e-12
 
 
 def test_encode_postings_bulk_byte_parity():
@@ -130,7 +91,7 @@ def test_encode_postings_bulk_byte_parity():
     rng = np.random.default_rng(0)
     for _trial in range(40):
         n_terms = int(rng.integers(1, 10))
-        pair_doc, tf, dl, ts, te, pos = [], [], [], [], [], []
+        pair_doc, tf, ts, te, pos = [], [], [], [], []
         start = 0
         for _t in range(n_terms):
             npairs = int(rng.integers(1, 400))  # spans multi-block terms
@@ -138,7 +99,6 @@ def test_encode_postings_bulk_byte_parity():
             tfs = rng.integers(1, 9, size=npairs)
             pair_doc.append(docs)
             tf.append(tfs)
-            dl.append(rng.integers(1, 300, size=npairs))
             ts.append(start)
             te.append(start + npairs)
             start += npairs
@@ -146,24 +106,22 @@ def test_encode_postings_bulk_byte_parity():
                 pos.append(np.sort(rng.choice(np.arange(0, 500), size=int(f), replace=False)))
         pair_doc = np.concatenate(pair_doc)
         tf = np.concatenate(tf)
-        dl = np.concatenate(dl)
         pos = np.concatenate(pos)
         ts = np.array(ts)
         te = np.array(te)
-        enc = encode_postings_bulk(pair_doc, tf, dl, ts, te, pos)
+        enc = encode_postings_bulk(pair_doc, tf, ts, te, pos)
         occ_ends = np.cumsum(tf)
         occ_starts = occ_ends - tf
         db, pb, bb = enc["term_doc_bounds"], enc["term_pos_bounds"], enc["blk_bounds"]
         for t in range(n_terms):
             s, e = ts[t], te[t]
             ref = encode_postings(
-                pair_doc[s:e], tf[s:e], dl[s:e], pos[occ_starts[s]:occ_ends[e - 1]]
+                pair_doc[s:e], tf[s:e], pos[occ_starts[s]:occ_ends[e - 1]]
             )
             assert enc["doc_blob"][db[t]:db[t + 1]] == ref.doc_blob
             assert enc["pos_blob"][pb[t]:pb[t + 1]] == ref.pos_blob
             b0, b1 = bb[t], bb[t + 1]
-            for k in ("block_last_doc", "block_off", "pos_off", "block_max_tf",
-                      "block_min_dl", "block_doc_count"):
+            for k in ("block_last_doc", "block_off", "pos_off", "block_doc_count"):
                 assert enc[k][b0:b1].tolist() == getattr(ref, k).tolist(), k
             assert int(enc["df"][t]) == e - s
             assert int(enc["cf"][t]) == int(tf[s:e].sum())

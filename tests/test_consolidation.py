@@ -57,9 +57,8 @@ def test_results_invariant_after_merge(setup):
     assert len(s.manifest["segments"]) == 1
     oracle = BruteForceOracle(tbl)
     for q, b in zip(QUERIES, before):
-        for wand in (False, True):
-            after = s.search_local(q, k=20, wand=wand)
-            pd.testing.assert_frame_equal(after, b)
+        after = s.search_local(q, k=20)
+        pd.testing.assert_frame_equal(after, b)
         want = oracle.search(q, k=20)
         assert list(zip(after["conv_id"], after["turn_idx"].astype(int))) == list(
             zip(want["conv_id"], want["turn_idx"].astype(int))
@@ -178,17 +177,16 @@ def test_tier_append_cycles_leave_large_segment(ray_session, tmp_path):
     oracle = BruteForceOracle(pa.concat_tables(tables))
     for q in QUERIES:
         want = oracle.search(q, k=20)
-        for wand in (False, True):
-            got = s.search_local(q, k=20, wand=wand)
-            assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
-                zip(want["conv_id"], want["turn_idx"].astype(int))
-            )
-            np.testing.assert_allclose(
-                got["score"].to_numpy(dtype=float),
-                want["score"].to_numpy(dtype=float),
-                atol=1e-6,
-                rtol=0,
-            )
+        got = s.search_local(q, k=20)
+        assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
+            zip(want["conv_id"], want["turn_idx"].astype(int))
+        )
+        np.testing.assert_allclose(
+            got["score"].to_numpy(dtype=float),
+            want["score"].to_numpy(dtype=float),
+            atol=1e-6,
+            rtol=0,
+        )
 
 
 def test_gc_removes_unreferenced(setup):
@@ -364,7 +362,7 @@ def test_count_collector_matches_full_search(tmp_path):
         F.Not(F.Term("text", "the"), F.Term("text", "agent")),
         F.Prefix("text", "w00"),
     ):
-        assert s.count(q) == len(s.search_local(q, k=10**9, wand=False))
+        assert s.count(q) == len(s.search_local(q, k=10**9))
     n_err = s.count(F.Term("text", "error"))
     assert n_err > 0
     delete_by_filter(d, F.Term("text", "error"))
@@ -372,5 +370,5 @@ def test_count_collector_matches_full_search(tmp_path):
     assert s2.count(F.Term("text", "error")) == 0
     # unaffected docs keep counting
     assert s2.count(F.Term("text", "agent")) == len(
-        s2.search_local(F.Term("text", "agent"), k=10**9, wand=False)
+        s2.search_local(F.Term("text", "agent"), k=10**9)
     )

@@ -14,20 +14,15 @@ from iresearch_ray.stages.merge import _concat_term_postings
 
 
 def _row_from_arrays(docs: np.ndarray, tfs: np.ndarray) -> dict:
-    dls = np.full(docs.size, 10, dtype=np.int64)
-    blob = encode_postings(docs, tfs, dls, None)
+    blob = encode_postings(docs, tfs, None)
     return {
         "df": int(docs.size),
         "cf": int(tfs.sum()),
-        "max_tf": int(tfs.max()),
-        "min_dl": 10,
         "doc_blob": blob.doc_blob,
         "pos_blob": blob.pos_blob,
         "block_last_doc": blob.block_last_doc.tolist(),
         "block_off": blob.block_off.tolist(),
         "pos_off": blob.pos_off.tolist(),
-        "block_max_tf": blob.block_max_tf.tolist(),
-        "block_min_dl": blob.block_min_dl.tolist(),
         "block_doc_count": blob.block_doc_count.tolist(),
     }
 
@@ -85,7 +80,6 @@ def _full_row(field, term, rng, n_docs, with_offs):
         rng.choice(np.arange(1, n_docs * 4 + 1), n_docs, replace=False)
     ).astype(np.int64)
     tfs = rng.integers(1, 4, n_docs).astype(np.int64)
-    dls = rng.integers(1, 50, n_docs).astype(np.int64)
     pos, o_s, o_e = [], [], []
     for tf in tfs:
         p = np.sort(rng.choice(np.arange(300), tf, replace=False))
@@ -93,19 +87,16 @@ def _full_row(field, term, rng, n_docs, with_offs):
         o_s += (p * 5).tolist()
         o_e += (p * 5 + 3).tolist()
     blob = enc(
-        docs, tfs, dls, np.array(pos, dtype=np.int64),
+        docs, tfs, np.array(pos, dtype=np.int64),
         (np.array(o_s, dtype=np.int64), np.array(o_e, dtype=np.int64))
         if with_offs else None,
     )
     return {
         "field": field, "term": term, "df": int(n_docs), "cf": int(tfs.sum()),
-        "max_tf": int(tfs.max()), "min_dl": int(dls.min()),
         "doc_blob": blob.doc_blob, "pos_blob": blob.pos_blob,
         "block_last_doc": blob.block_last_doc.tolist(),
         "block_off": blob.block_off.tolist(),
         "pos_off": blob.pos_off.tolist(),
-        "block_max_tf": blob.block_max_tf.tolist(),
-        "block_min_dl": blob.block_min_dl.tolist(),
         "block_doc_count": blob.block_doc_count.tolist(),
         "off_blob": blob.off_blob,
         "off_off": blob.off_off.tolist() if blob.off_off is not None else [],

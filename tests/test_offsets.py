@@ -33,7 +33,6 @@ from iresearch_ray.state.manifest import commit_manifest
 def _random_postings(rng, n_docs):
     doc_ids = np.sort(rng.choice(np.arange(1, n_docs * 3), size=n_docs, replace=False))
     tfs = rng.integers(1, 5, size=n_docs)
-    dls = rng.integers(1, 100, size=n_docs)
     n_occ = int(tfs.sum())
     # per-doc ascending positions and spans
     pos, starts, ends = [], [], []
@@ -46,7 +45,6 @@ def _random_postings(rng, n_docs):
     return (
         doc_ids.astype(np.int64),
         tfs.astype(np.int64),
-        dls.astype(np.int64),
         np.array(pos, dtype=np.int64),
         np.array(starts, dtype=np.int64),
         np.array(ends, dtype=np.int64),
@@ -56,8 +54,8 @@ def _random_postings(rng, n_docs):
 @pytest.mark.parametrize("n_docs", [1, 3, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 7])
 def test_offsets_codec_roundtrip(n_docs):
     rng = np.random.default_rng(n_docs)
-    doc_ids, tfs, dls, pos, o_s, o_e = _random_postings(rng, n_docs)
-    blob = encode_postings(doc_ids, tfs, dls, pos, (o_s, o_e))
+    doc_ids, tfs, pos, o_s, o_e = _random_postings(rng, n_docs)
+    blob = encode_postings(doc_ids, tfs, pos, (o_s, o_e))
     assert blob.off_blob and blob.off_off is not None
     nblocks = blob.block_doc_count.size
     got_s, got_e = [], []
@@ -73,7 +71,7 @@ def test_offsets_codec_roundtrip(n_docs):
 
 def test_offsets_codec_absent():
     blob = encode_postings(
-        np.array([1, 5]), np.array([1, 2]), np.array([3, 4]), np.array([0, 1, 2])
+        np.array([1, 5]), np.array([1, 2]), np.array([0, 1, 2])
     )
     assert blob.off_blob == b"" and blob.off_off is None
 

@@ -27,12 +27,11 @@ def test_payload_codec_roundtrip(n_docs):
     rng = np.random.default_rng(n_docs)
     docs = np.sort(rng.choice(np.arange(1, n_docs * 3), n_docs, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 4, n_docs).astype(np.int64)
-    dls = np.full(n_docs, 9, dtype=np.int64)
     n_occ = int(tfs.sum())
     pays = [
         (b"" if i % 7 == 0 else f"{i * 0.5:.2f}".encode()) for i in range(n_occ)
     ]
-    blob = encode_postings(docs, tfs, dls, None, None, pays)
+    blob = encode_postings(docs, tfs, None, None, pays)
     assert blob.pay_blob and blob.pay_off is not None
     nblocks = blob.block_doc_count.size
     got = []

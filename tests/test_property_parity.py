@@ -1,7 +1,7 @@
 """Property-based rank parity: hypothesis generates random filter TREES
 (arbitrary nesting of term/terms/prefix/wildcard/fuzzy/phrase under
 and/or/not/nested) and every tree must rank-match the independent
-brute-force oracle, with WAND on and off.  This hunts interaction bugs the
+brute-force oracle.  This hunts interaction bugs the
 hand-written parity families can't enumerate."""
 
 import pytest
@@ -82,15 +82,14 @@ def test_random_filter_tree_parity(prop_corpus, flt):
     searcher, oracle = prop_corpus
     import numpy as np
 
-    for wand in (False, True):
-        got = searcher.search_local(flt, k=10, wand=wand)
-        want = oracle.search(flt, k=10)
-        assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
-            zip(want["conv_id"], want["turn_idx"].astype(int))
-        ), flt
-        if len(got):
-            np.testing.assert_allclose(
-                got["score"].to_numpy(dtype=float),
-                want["score"].to_numpy(dtype=float),
-                atol=1e-6, rtol=0,
-            )
+    got = searcher.search_local(flt, k=10)
+    want = oracle.search(flt, k=10)
+    assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
+        zip(want["conv_id"], want["turn_idx"].astype(int))
+    ), flt
+    if len(got):
+        np.testing.assert_allclose(
+            got["score"].to_numpy(dtype=float),
+            want["score"].to_numpy(dtype=float),
+            atol=1e-6, rtol=0,
+        )

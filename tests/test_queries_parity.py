@@ -2,10 +2,11 @@
 
 Engine top-k vs the brute-force oracle on a 200-conv synthetic corpus:
 identical (conv_id, turn_idx) ranks and scores to 1e-6, for every operator
-family, with WAND pruning ON and OFF (must be invariant).
+family.
 """
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from iresearch_ray.pipelines.build import build_index_local
@@ -108,8 +109,8 @@ QUERIES = {
 }
 
 
-def _check(searcher, oracle, flt, k, wand, scorer=None):
-    got = searcher.search_local(flt, k=k, wand=wand, scorer=scorer)
+def _check(searcher, oracle, flt, k, scorer=None):
+    got = searcher.search_local(flt, k=k, scorer=scorer)
     want = oracle.search(flt, k=k)
     got_rows = list(zip(got["conv_id"], got["turn_idx"].astype(int)))
     want_rows = list(zip(want["conv_id"], want["turn_idx"].astype(int)))
@@ -126,16 +127,30 @@ def _check(searcher, oracle, flt, k, wand, scorer=None):
 def test_family_parity(corpus, name):
     searcher, oracle = corpus
     flt = QUERIES[name]
-    _check(searcher, oracle, flt, k=10, wand=False)
-    _check(searcher, oracle, flt, k=10, wand=True)
+    _check(searcher, oracle, flt, k=10)
 
 
 @pytest.mark.parametrize("k", [1, 100, 1000])
 def test_topk_sweep(corpus, k):
     searcher, oracle = corpus
-    _check(searcher, oracle, F.Term("text", "the"), k=k, wand=True)
-    _check(searcher, oracle, F.Or(tuple(F.Term("text", t) for t in HOT_HEAD[:8])), k=k, wand=True)
-    _check(searcher, oracle, F.Or(tuple(F.Term("text", t) for t in HOT_HEAD[:8])), k=k, wand=False)
+    _check(searcher, oracle, F.Term("text", "the"), k=k)
+    _check(searcher, oracle, F.Or(tuple(F.Term("text", t) for t in HOT_HEAD[:8])), k=k)
+
+
+def test_wand_argument_ignored(corpus):
+    """``segment_topk`` and ``Searcher.search_local`` still accept the old
+    ``wand`` flag (perfbench passes it) and return identical frames for
+    True and False."""
+    from iresearch_ray.query.exec import segment_topk
+
+    searcher, _ = corpus
+    for flt in (QUERIES["or_mm2"], QUERIES["terms_in"], QUERIES["prefix_w00"]):
+        on = searcher.search_local(flt, k=10, wand=True)
+        off = searcher.search_local(flt, k=10, wand=False)
+        pd.testing.assert_frame_equal(on, off)
+        plan = searcher.prepare(flt).plan
+        for r in searcher._local_readers():
+            assert segment_topk(r, plan, 10, True).equals(segment_topk(r, plan, 10, False))
 
 
 def test_tfidf_parity(corpus):
@@ -145,7 +160,7 @@ def test_tfidf_parity(corpus):
 
     oracle = BruteForceOracle(gen_transcripts(200), scorer=ScorerCfg(name="tfidf"))
     flt = F.Or((F.Term("text", "agent"), F.Term("text", "w0005")))
-    _check(searcher, oracle, flt, k=10, wand=False, scorer=ScorerCfg(name="tfidf"))
+    _check(searcher, oracle, flt, k=10, scorer=ScorerCfg(name="tfidf"))
 
 
 def test_scored_terms_limit_cap(corpus):

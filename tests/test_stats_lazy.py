@@ -4,6 +4,7 @@ multi-billion-term dictionaries where the driver cannot hold the
 vocabulary (SURVEY §2.6 stats scope; round-2 review item 3)."""
 
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
 
 from iresearch_ray.pipelines.build import build_index_local
@@ -67,6 +68,11 @@ def test_plans_identical(both):
 
 def test_primitive_parity(both):
     mem, lazy = both
+    # the dictionary is exactly (field, term, df, cf) in memory and on disk
+    cols = ["field", "term", "df", "cf"]
+    assert mem.term_table.column_names == cols
+    for path in lazy.paths:
+        assert pq.read_schema(path).names == cols, path
     t1, d1 = mem.field_terms("text")
     t2, d2 = lazy.field_terms("text")
     np.testing.assert_array_equal(t1, t2)
