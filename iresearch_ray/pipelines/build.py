@@ -463,31 +463,28 @@ def verify_text_equality(index_dir: str, source, distributed: bool | None = None
 def _verify_text_equality_distributed(index_dir: str, source, cfg, manifest) -> dict:
     """Dataset-native text-equality check: normalize source rows (side 0)
     and segment doc rows (side 1) to (conv_id, turn_idx, text, side),
-    co-locate by conv-hash shard (ONE keyed shuffle), and inside each
-    group sort by (conv_id, turn_idx, side) and scan (conv, turn) runs
-    vectorized — src rows lead each run, so per-key comparison is a
-    reduceat over run boundaries.  Output: one count row per shard."""
+    co-locate by conv_id (ONE ``shard_groups`` exchange), and inside each
+    kernel call sort by (conv_id, turn_idx, side) and scan (conv, turn)
+    runs vectorized — src rows lead each run, so per-key comparison is a
+    reduceat over run boundaries.  Output: one count row per call."""
     import pyarrow.compute as pc
     import ray.data as rd
 
+    from iresearch_ray.pipelines.dataops import shard_groups
     from iresearch_ray.stages.segment import docs_paths
     from iresearch_ray.state.manifest import segment_dirs
 
     tf = cfg.text_field
-    S = 512
 
     def norm(side: int):
         def f(b: pa.Table) -> pa.Table:
-            t = pa.table(
+            return pa.table(
                 {
                     "conv_id": b["conv_id"].cast(pa.string()),
                     "turn_idx": b["turn_idx"].cast(pa.int64()),
                     "__text": b[tf].cast(pa.string()),
                     "side": pa.array(np.full(b.num_rows, side, np.int8)),
                 }
-            )
-            return t.append_column(
-                "__shard", pa.array(hash_partition(t["conv_id"], S))
             )
 
         return f
@@ -542,12 +539,7 @@ def _verify_text_equality_distributed(index_dir: str, source, cfg, manifest) -> 
             }
         )
 
-    rep = (
-        src.union(idx)
-        .groupby("__shard")
-        .map_groups(check, batch_format="pyarrow")
-        .to_pandas()
-    )
+    rep = shard_groups(src.union(idx), "conv_id", check).to_pandas()
     src_rows = int(rep["src_rows"].sum())
     checked = int(rep["checked"].sum())
     dup_src = int(rep["dup_src_keys"].sum())

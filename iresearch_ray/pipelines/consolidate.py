@@ -59,7 +59,6 @@ def consolidate(
     policy_kwargs: dict | None = None,
     gc: bool = False,
     repeat: bool = False,
-    engine: str = "auto",
     crypto=None,
 ) -> dict:
     """Run one (or, with ``repeat``, successive) consolidation rounds.
@@ -122,7 +121,7 @@ def consolidate(
             return _maybe_clear_tombstones(index_dir, manifest)
         gen = manifest["generation"]
         sizes = {sm["name"]: sm.get("bytes", 0) for sm in manifest["segments"]}
-        merged_metas = _run_merges(index_dir, sets, gen, engine, sizes, crypto)
+        merged_metas = _run_merges(index_dir, sets, gen, sizes, crypto)
         merged_away = {n for s in sets for n in s}
         survivors = [s for s in manifest["segments"] if s["name"] not in merged_away]
         manifest = commit_manifest(
@@ -230,15 +229,13 @@ def _run_merges(
     index_dir: str,
     sets: list[list[str]],
     generation: int,
-    engine: str = "auto",
     sizes: dict[str, int] | None = None,
     crypto=None,
 ) -> list[dict]:
     """Fan candidate sets out as Ray tasks when a session exists (each merge
     is independent); WIDE sets — by member count OR total bytes — take the
-    salted term-shuffle merge with its distributed segment write (engine
-    "auto"/"shuffle" — SURVEY §4.1 hot-term skew), narrow sets the one-task
-    k-way blob concat."""
+    salted term-shuffle merge with its distributed segment write (SURVEY
+    §4.1 hot-term skew), narrow sets the one-task k-way blob concat."""
     try:
         import ray
 
@@ -254,10 +251,6 @@ def _run_merges(
             # in this pyarrow — encrypted indexes take the task merge
             # (SegmentReader decrypts); revisit when pyarrow exposes
             # ParquetFragmentScanOptions(decryption_properties=...)
-            return False
-        if engine == "shuffle":
-            return True
-        if engine == "tasks":
             return False
         return (
             len(s) > WIDE_SET_THRESHOLD

@@ -118,6 +118,77 @@ def _hash_strings(arr) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# keyed reduce: one kernel call per coarse key shard
+# ---------------------------------------------------------------------------
+
+SHARDS = 256
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def run_starts(*cols: np.ndarray) -> np.ndarray:
+    """True at the first row of every run of equal values in the aligned,
+    sorted columns ``cols`` (a new run starts where any column changes)."""
+    n = len(cols[0])
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for c in cols:
+        same &= c[1:] == c[:-1]
+    return np.concatenate(([True], ~same)) if n else np.zeros(0, dtype=bool)
+
+
+def _shard_of(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Shard number in [0, SHARDS) per row: integer keys by value, other
+    keys through ``_hash_strings``, mixed by Fibonacci hashing so keys
+    with all-zero low bits (window starts) still spread."""
+    h = np.zeros(t.num_rows, np.uint64)
+    with np.errstate(over="ignore"):
+        for k in keys:
+            col = t[k]
+            if pa.types.is_integer(col.type):
+                v = pc.fill_null(col, 0).to_numpy(zero_copy_only=False).astype(np.uint64)
+            else:
+                v = _hash_strings(col)
+            h = (h ^ v) * _GOLDEN
+    return ((h >> np.uint64(32)) % np.uint64(SHARDS)).astype(np.int64)
+
+
+def shard_groups(ds, keys, kernel, schema: pa.Schema | None = None):
+    """Keyed reduce with one ``kernel`` call per key shard instead of one
+    per distinct key.  Rows hash on ``keys`` into ``SHARDS`` coarse
+    shards; ``groupby("__shard").map_groups`` sorts them and calls
+    ``kernel(table)`` once per shard with ``__shard`` dropped.  Every row
+    of a key reaches the same call and a key never spans two calls, so a
+    kernel sorts its table by the key and reduces the runs vectorized.
+
+    Group-size bound: a shard holds ~1/SHARDS of the rows of its exchange
+    (the sort already puts ~1/blocks of them in each reduce task), plus
+    whatever one key brings — a single hot key stays in one call.
+
+    A kernel returns its op's typed empty table when a shard has no
+    output.  A Dataset with no rows reaches no kernel call at all (Ray
+    skips empty blocks), so an op that passes its output ``schema`` gets
+    one typed empty block appended: an empty input then yields a typed
+    0-row result."""
+    import ray.data as rd
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def tag(t: pa.Table) -> pa.Table:
+        t = bare_schema(t)
+        return t.append_column("__shard", pa.array(_shard_of(t, keys)))
+
+    def run(g: pa.Table) -> pa.Table:
+        return kernel(g.drop_columns(["__shard"]))
+
+    run.__name__ = kernel.__name__
+    out = (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .groupby("__shard")
+        .map_groups(run, batch_format="pyarrow")
+    )
+    return out if schema is None else out.union(rd.from_arrow(schema.empty_table()))
+
+
+# ---------------------------------------------------------------------------
 # fingerprints
 # ---------------------------------------------------------------------------
 
@@ -186,25 +257,25 @@ def fingerprints(ds, text_col: str = "text"):
 
 
 def exact_dedup(ds, key_col: str = "doc_id", text_col: str = "text"):
-    """Exact text dedup: fingerprint (narrow) → groupby(fingerprint) →
-    keep the row with the minimum key per group ("first" under the stable
-    key order).  ONE hash shuffle keyed by md5 — uniform by construction
-    (cryptographic hash), so no skew/salting needed even at 100 TB.
-    Returns survivors with original columns."""
-
-    def add_fp(b: pa.Table) -> pa.Table:
-        b = bare_schema(b)
-        return b.append_column("__fp", pa.array(md5_hex(b[text_col].to_pylist()), pa.string()))
+    """Exact text dedup: keep the row with the minimum key per distinct
+    md5(text) ("first" under the stable key order).  Rows shard by a hash
+    of the text (``shard_groups``), so every copy of a text meets in one
+    kernel call, which fingerprints its rows with md5, sorts them by
+    (md5, key) and keeps the first row of each run.  Returns survivors
+    with original columns (the input schema, read from Dataset metadata
+    for Parquet/Arrow sources, else from its first block)."""
 
     def keep_first(g: pa.Table) -> pa.Table:
-        i = pc.index(pc.equal(g[key_col], pc.min(g[key_col])), True).as_py()
-        return g.slice(i, 1).drop_columns(["__fp"])
+        fp = pa.array(md5_hex(g[text_col].to_pylist()), pa.string())
+        order = pc.sort_indices(
+            pa.table({"fp": fp, "key": g[key_col]}),
+            sort_keys=[("fp", "ascending"), ("key", "ascending")],
+        )
+        first = run_starts(fp.take(order).to_numpy(zero_copy_only=False))
+        return g.take(order.filter(pa.array(first)))
 
-    return (
-        ds.map_batches(add_fp, batch_format="pyarrow")
-        .groupby("__fp")
-        .map_groups(keep_first, batch_format="pyarrow")
-    )
+    schema = ds.schema().base_schema.remove_metadata()
+    return shard_groups(ds, text_col, keep_first, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +501,9 @@ def ngram_jaccard_pairs(
     else:
         sizes_ref = None  # "join" scale path below
 
-    # coarse group key shingle % SHARDS (whole shingles per group, bounded
-    # group size); equal-shingle runs emit their pair cliques vectorized —
-    # per-shingle UDF dispatch dominated with ~1 group per distinct shingle
-    SHARDS = 1024
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        sh = (t["shingle"].to_numpy(zero_copy_only=False) % np.uint64(SHARDS)).astype(np.int64)
-        return t.append_column("shard", pa.array(sh))
-
-    def shard_pairs(g: pa.Table) -> pa.Table:
-        ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = g["shingle"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return _emit_run_pairs(ids, keys, cap=hot_shingle_cap)
-
-    common = (
-        pairs_src.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(shard_pairs, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .count()
-    )
+    common = shard_groups(
+        pairs_src, "shingle", lambda g: _emit_run_pairs(g, id_col, "shingle", hot_shingle_cap)
+    ).groupby(["a", "b"]).count()
 
     if combine == "join":
         # scale path: distribute the per-doc sizes to pairs with the same
@@ -503,33 +555,40 @@ def ngram_jaccard_pairs(
             )
 
         def attach(g: pa.Table) -> pa.Table:
+            # per doc: its size row (side -1) sorts first, then its pair rows
+            doc = g["doc"].to_numpy(zero_copy_only=False)
             side = g["side"].to_numpy(zero_copy_only=False)
-            own = side == -1
-            if own.all() or not own.any():
-                return SZ_SCHEMA.empty_table()
-            sz = int(g["sz"].to_numpy(zero_copy_only=False)[own][0])
-            p = g.filter(pa.array(~own))
+            order = np.lexsort((side, doc))
+            doc, side = doc[order], side[order]
+            starts = np.flatnonzero(run_starts(doc))
+            head = np.repeat(starts, np.diff(np.append(starts, doc.size)))
+            keep = (side != -1) & (side[head] == -1)
+            sz = g["sz"].to_numpy(zero_copy_only=False)[order][head[keep]]
+            p = g.take(pa.array(order[keep]))
             return p.set_column(
-                p.schema.get_field_index("sz"), "sz",
-                pa.array(np.full(p.num_rows, sz, np.int64)),
+                p.schema.get_field_index("sz"), "sz", pa.array(sz.astype(np.int64))
             )
 
         def jac_final(g: pa.Table) -> pa.Table:
+            # per pair: one side-0 and one side-1 row, each carrying its size
+            pa_ = g["pair_a"].to_numpy(zero_copy_only=False)
+            pb_ = g["pair_b"].to_numpy(zero_copy_only=False)
             side = g["side"].to_numpy(zero_copy_only=False)
-            sz = g["sz"].to_numpy(zero_copy_only=False)
-            if not (side == 0).any() or not (side == 1).any():
-                return _PAIR_SCHEMA.empty_table()
-            sa = float(sz[side == 0][0])
-            sb = float(sz[side == 1][0])
-            inter = float(g["inter"][0].as_py())
-            j = inter / (sa + sb - inter)
-            if j < threshold:
-                return _PAIR_SCHEMA.empty_table()
+            order = np.lexsort((side, pb_, pa_))
+            pa_, pb_, side = pa_[order], pb_[order], side[order]
+            sz = g["sz"].to_numpy(zero_copy_only=False)[order].astype(np.float64)
+            inter = g["inter"].to_numpy(zero_copy_only=False)[order].astype(np.float64)
+            first = np.flatnonzero(run_starts(pa_, pb_))
+            last = np.append(first[1:], pa_.size) - 1
+            ok = (side[first] == 0) & (side[last] == 1)
+            first, last = first[ok], last[ok]
+            j = inter[first] / (sz[first] + sz[last] - inter[first])
+            hit = j >= threshold
             return pa.table(
                 {
-                    "a": g["pair_a"].slice(0, 1),
-                    "b": g["pair_b"].slice(0, 1),
-                    "jaccard": pa.array([float(round_half_away(j, 4))], pa.float64()),
+                    "a": pa.array(pa_[first[hit]].astype(np.int64)),
+                    "b": pa.array(pb_[first[hit]].astype(np.int64)),
+                    "jaccard": pa.array(round_half_away(j[hit], 4)),
                 },
                 schema=_PAIR_SCHEMA,
             )
@@ -569,13 +628,8 @@ def ngram_jaccard_pairs(
 
         need = common.map_batches(pair_need, batch_format="pyarrow")
         szr = sizes_ds.map_batches(size_rows, batch_format="pyarrow")
-        return (
-            need.union(szr)
-            .groupby("doc")
-            .map_groups(attach, batch_format="pyarrow")
-            .groupby(["pair_a", "pair_b"])
-            .map_groups(jac_final, batch_format="pyarrow")
-        )
+        attached = shard_groups(need.union(szr), "doc", attach)
+        return shard_groups(attached, ["pair_a", "pair_b"], jac_final)
 
     def to_jaccard(b: pa.Table) -> pa.Table:
         sz = ray.get(sizes_ref)
@@ -693,20 +747,18 @@ def minhash_band_table(
     )
 
 
-def _emit_run_pairs(
-    ids: np.ndarray, keys: np.ndarray, cap: int = _BUCKET_CAP
-) -> pa.Table:
-    """All (a < b) pairs within equal-``keys`` runs, vectorized: one
-    lexsort, run-length boundaries, then a loop over the (few) runs with
-    ≥2 members only.  Replaces per-bucket map_groups UDF calls — with
-    hundreds of thousands of singleton buckets the per-group Python
-    dispatch dominated the whole op (seen in ds.stats())."""
+def _emit_run_pairs(g: pa.Table, id_col: str, key_col: str, cap: int = _BUCKET_CAP) -> pa.Table:
+    """All (a < b) id pairs within equal-``key_col`` runs of ``g`` — the
+    pair kernel of the shingle and LSH-bucket exchanges: one lexsort,
+    run-length boundaries, then a loop over the (few) runs with ≥2
+    members only.  Runs above ``cap`` are dropped with a warning."""
+    ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    keys = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((ids, keys))
-    k, i = keys[order], ids[order]
-    new = np.concatenate(([True], k[1:] != k[:-1]))
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.concatenate((starts, [k.size])))
-    out_a, out_b = [], []
+    i = ids[order]
+    starts = np.flatnonzero(run_starts(keys[order]))
+    sizes = np.diff(np.append(starts, i.size))
+    out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for s, n in zip(starts[sizes >= 2], sizes[sizes >= 2]):
         if n > cap:
             import logging
@@ -720,22 +772,7 @@ def _emit_run_pairs(
         ia, ib = np.triu_indices(int(n), k=1)
         out_a.append(run[ia])
         out_b.append(run[ib])
-    if not out_a:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    return pa.table(
-        {
-            "a": pa.array(np.concatenate(out_a)),
-            "b": pa.array(np.concatenate(out_b)),
-        }
-    )
-
-
-def _emit_band_pairs(g: pa.Table, id_col: str, cap: int = _BUCKET_CAP) -> pa.Table:
-    """One bucket-hash SHARD's pairs (coarse group → vectorized runs over
-    whole buckets; band identity lives inside the bucket hash)."""
-    ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    buckets = g["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _emit_run_pairs(ids, buckets, cap)
+    return pa.table({"a": np.concatenate(out_a), "b": np.concatenate(out_b)})
 
 
 _VERIFY_DRIVER_DOC_CAP = 100_000  # candidate docs for the driver fast path
@@ -951,69 +988,83 @@ def _verified_jaccard(cand, shingles, threshold: float, id_col: str, raw=None):
     shr = shingles.map_batches(shingle_rows, batch_format="pyarrow")
 
     def distribute(g: pa.Table) -> pa.Table:
+        doc = g["doc"].to_numpy(zero_copy_only=False)
         side = g["side"].to_numpy(zero_copy_only=False)
         own = side == -1
-        if own.all() or not own.any():
-            return _DIST_SCHEMA.empty_table()
-        sh = g["shingle"].to_numpy(zero_copy_only=False)[own].astype(np.uint64)
-        p = g.filter(pa.array(~own))
-        # dedupe candidate pairs HERE instead of a dedicated groupby(a, b)
-        # aggregate upstream: a pair colliding in k LSH bands arrives k
-        # times; replicating this doc's shingle set once per copy would
-        # multiply the pair exchange, and the dropped dedup shuffle carried
-        # every duplicate row anyway.  Within one doc group a pair appears
-        # with a single side (doc is either a or b), so (pair_a, pair_b)
-        # identifies the run.
-        if p.num_rows > 1:
-            a_np = p["pair_a"].to_numpy(zero_copy_only=False)
-            b_np = p["pair_b"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((b_np, a_np))
-            a_s, b_s = a_np[order], b_np[order]
-            first = np.concatenate(
-                ([True], (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1]))
-            )
-            p = p.take(pa.array(order[first]))
-        reps = p.num_rows
+        # each doc's shingle rows, as one slice per doc of a doc-sorted array
+        o = np.flatnonzero(own)
+        o = o[np.argsort(doc[o], kind="stable")]
+        sh = g["shingle"].to_numpy(zero_copy_only=False)[o].astype(np.uint64)
+        sdoc = doc[o]
+        sh_start = np.flatnonzero(run_starts(sdoc))
+        sh_cnt = np.diff(np.append(sh_start, sdoc.size))
+        # pair rows, deduped per doc: a pair colliding in k LSH bands
+        # arrives k times, and replicating the doc's shingles once per copy
+        # would multiply the pair exchange.  Within one doc a pair has a
+        # single side (the doc is either a or b), so (doc, pair_a, pair_b)
+        # identifies the copies.
+        p = np.flatnonzero(~own)
+        pdoc = doc[p]
+        pa_ = g["pair_a"].to_numpy(zero_copy_only=False)[p].astype(np.int64)
+        pb_ = g["pair_b"].to_numpy(zero_copy_only=False)[p].astype(np.int64)
+        pside = side[p]
+        order = np.lexsort((pb_, pa_, pdoc))
+        order = order[run_starts(pdoc[order], pa_[order], pb_[order])]
+        pdoc, pa_, pb_, pside = pdoc[order], pa_[order], pb_[order], pside[order]
+        # pair rows of docs without shingle rows deliver nothing
+        heads = sdoc[sh_start]
+        at = np.searchsorted(heads, pdoc)
+        has = at < heads.size
+        has[has] = heads[at[has]] == pdoc[has]
+        at, pa_, pb_, pside = at[has], pa_[has], pb_[has], pside[has]
+        reps = sh_cnt[at]
+        out0 = np.cumsum(reps) - reps
+        gather = np.arange(int(reps.sum())) - np.repeat(out0 - sh_start[at], reps)
+        n = gather.size
         return pa.table(
             {
-                "doc": pa.nulls(reps * sh.size, pa.int64()),
-                "pair_a": pa.array(
-                    np.repeat(p["pair_a"].to_numpy(zero_copy_only=False), sh.size)
-                ),
-                "pair_b": pa.array(
-                    np.repeat(p["pair_b"].to_numpy(zero_copy_only=False), sh.size)
-                ),
-                "side": pa.array(
-                    np.repeat(p["side"].to_numpy(zero_copy_only=False), sh.size)
-                ),
-                "shingle": pa.array(np.tile(sh, reps)),
+                "doc": pa.nulls(n, pa.int64()),
+                "pair_a": pa.array(np.repeat(pa_, reps)),
+                "pair_b": pa.array(np.repeat(pb_, reps)),
+                "side": pa.array(np.repeat(pside, reps).astype(np.int32)),
+                "shingle": pa.array(sh[gather]),
             },
             schema=_DIST_SCHEMA,
         )
 
-    dist = need.union(shr).groupby("doc").map_groups(distribute, batch_format="pyarrow")
-
     def finish(g: pa.Table) -> pa.Table:
+        pa_ = g["pair_a"].to_numpy(zero_copy_only=False)
+        pb_ = g["pair_b"].to_numpy(zero_copy_only=False)
         side = g["side"].to_numpy(zero_copy_only=False)
         sh = g["shingle"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        A = np.unique(sh[side == 0])
-        B = np.unique(sh[side == 1])
-        if A.size == 0 or B.size == 0:
-            return _PAIR_SCHEMA.empty_table()
-        inter = np.intersect1d(A, B, assume_unique=True).size
-        j = inter / (A.size + B.size - inter)
-        if j < threshold:
-            return _PAIR_SCHEMA.empty_table()
+        order = np.lexsort((side, sh, pb_, pa_))
+        pa_, pb_, side, sh = pa_[order], pb_[order], side[order], sh[order]
+        # distinct (pair, shingle, side) rows: a shingle is then shared by
+        # both docs of a pair iff it is the second row of its (pair, shingle) run
+        d = run_starts(pa_, pb_, sh, side)
+        pa_, pb_, side, sh = pa_[d], pb_[d], side[d], sh[d]
+        starts = run_starts(pa_, pb_)
+        pair = np.cumsum(starts) - 1
+        n_pairs = int(starts.sum())
+        size_a = np.bincount(pair, weights=side == 0, minlength=n_pairs)
+        size_b = np.bincount(pair, weights=side == 1, minlength=n_pairs)
+        inter = np.bincount(pair[~run_starts(pa_, pb_, sh)], minlength=n_pairs)
+        ok = (size_a > 0) & (size_b > 0)
+        j = np.zeros(n_pairs)
+        j[ok] = inter[ok] / (size_a[ok] + size_b[ok] - inter[ok])
+        hit = ok & (j >= threshold)
+        first = np.flatnonzero(starts)[hit]
         return pa.table(
             {
-                "a": g["pair_a"].slice(0, 1),
-                "b": g["pair_b"].slice(0, 1),
-                "jaccard": pa.array([float(round_half_away(j, 4))], pa.float64()),
+                "a": pa.array(pa_[first].astype(np.int64)),
+                "b": pa.array(pb_[first].astype(np.int64)),
+                "jaccard": pa.array(round_half_away(j[hit], 4)),
             },
             schema=_PAIR_SCHEMA,
         )
 
-    return dist.groupby(["pair_a", "pair_b"]).map_groups(finish, batch_format="pyarrow")
+    dist = shard_groups(need.union(shr), "doc", distribute)
+    return shard_groups(dist, ["pair_a", "pair_b"], finish)
 
 
 def minhash_lsh_pairs(
@@ -1025,45 +1076,30 @@ def minhash_lsh_pairs(
 ):
     """MinHash → LSH banding → candidate pairs → EXACT Jaccard verify ≥ t.
 
-    Plan: narrow vectorized signature stage → groupby (band, bucket) emits
-    candidate pairs → groupby (a, b) dedupes → DISTRIBUTED exact
-    verification (`_verified_jaccard`: hash joins against the shingle
-    explode).  Every stage is a keyed exchange or narrow map — no
-    driver-side materialization of corpus-sized state, so the op survives
-    the 100 TB regime (the v1 broadcast-shingle-sets verify did not).
+    Plan: narrow vectorized signature stage → bucket-keyed
+    ``shard_groups`` emits candidate pairs → DISTRIBUTED exact
+    verification (`_verified_jaccard`: doc-keyed co-location with the
+    shingle explode, which also dedupes the pairs).  Every stage is a
+    keyed exchange or narrow map — no driver-side materialization of
+    corpus-sized state, so the op survives the 100 TB regime (the v1
+    broadcast-shingle-sets verify did not).
     Output (a, b, jaccard); approximate RECALL (LSH can miss pairs — tune
     ``cfg.bands`` up for higher recall), exact PRECISION (verified).
     """
     cfg = cfg or MinHashCfg()
 
-    # group key = bucket % SHARDS (band is baked into the bucket hash, so a
-    # single int64 key column suffices — r5: the (band, shard) two-column
-    # key and the band column itself are gone from the exchange, cutting
-    # bytes shuffled and sort width): COARSE enough that each group holds
-    # many whole buckets (the per-bucket UDF dispatch dominated ds.stats()
-    # with ~100k singleton groups), FINE enough that a group is ~1/SHARDS
-    # of the exploded rows — bounded at any corpus size.  bucket % SHARDS
-    # never splits a bucket, so pair emission is exact.
-    SHARDS = 256
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        sh = t["bucket"].to_numpy(zero_copy_only=False) % SHARDS
-        return t.append_column("shard", pa.array(sh.astype(np.int64)))
-
-    cand = (
-        ds.select_columns([id_col, text_col]).map_batches(
-            lambda b: minhash_band_table(b, cfg, text_col, id_col),
-            batch_format="pyarrow",
-        )
-        .map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(lambda g: _emit_band_pairs(g, id_col), batch_format="pyarrow")
-        # no groupby(a, b) dedupe shuffle here: pairs colliding in >1 band
-        # are deduped inside the verify's doc-keyed distribute UDF — one
-        # fewer all-to-all, and the duplicate rows ride an exchange the
-        # verify pays anyway (they are bounded by bands × true pairs)
+    # the band is baked into the bucket hash, so the bucket alone keys the
+    # exchange (no band column travels); one kernel call emits the pairs of
+    # many whole buckets
+    bands = ds.select_columns([id_col, text_col]).map_batches(
+        lambda b: minhash_band_table(b, cfg, text_col, id_col),
+        batch_format="pyarrow",
     )
+    # no groupby(a, b) dedupe shuffle here: pairs colliding in >1 band are
+    # deduped inside the verify's doc-keyed distribute kernel — one fewer
+    # all-to-all, and the duplicate rows ride an exchange the verify pays
+    # anyway (they are bounded by bands × true pairs)
+    cand = shard_groups(bands, "bucket", lambda g: _emit_run_pairs(g, id_col, "bucket"))
     # shingles=None + raw: the verify stage builds the explode itself with
     # the candidate-doc row prune applied BEFORE hashing (one full-corpus
     # shingle pass instead of two)
@@ -1097,9 +1133,6 @@ def cluster_pairs(pairs) -> dict[int, int]:
     return {x: find(x) for x in parent}
 
 
-_CC_SHARDS = 512  # coarse co-location key — whole nodes per group, never splits one
-
-
 def cluster_pairs_distributed(pairs, max_iters: int = 60):
     """Connected components of an (a, b) pair Dataset, fully distributed:
     iterated min-label propagation.  Returns a Dataset of (node, root)
@@ -1108,8 +1141,8 @@ def cluster_pairs_distributed(pairs, max_iters: int = 60):
     paths are interchangeable.
 
     Per iteration (2 keyed shuffles over the PAIR set, never the corpus):
-      1. co-locate static edge rows with current label rows on a coarse
-         node-hash shard; inside one vectorized UDF per shard, compute
+      1. co-locate static edge rows with current label rows by node
+         (``shard_groups``); inside one vectorized kernel call, compute
          each node's current label lu = min(own labels, node) with
          ``np.minimum.reduceat`` over node-sorted runs, then emit lu to
          every neighbor plus a self row — NO per-node Python dispatch
@@ -1136,12 +1169,6 @@ def cluster_pairs_distributed(pairs, max_iters: int = 60):
         )
 
     edges = pairs.map_batches(edge_rows, batch_format="pyarrow").materialize()
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        n = t["node"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__shard", pa.array((n % _CC_SHARDS).astype(np.int64))
-        )
 
     def propagate(g: pa.Table) -> pa.Table:
         node = g["node"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1173,9 +1200,7 @@ def cluster_pairs_distributed(pairs, max_iters: int = 60):
     for _ in range(max_iters):
         rows = edges if labels is None else edges.union(labels)
         new_labels = (
-            rows.map_batches(add_shard, batch_format="pyarrow")
-            .groupby("__shard")
-            .map_groups(propagate, batch_format="pyarrow")
+            shard_groups(rows, "node", propagate)
             .groupby("node")
             .min("val")
             .map_batches(as_label_rows, batch_format="pyarrow")
@@ -1205,8 +1230,6 @@ def _near_dedup_distributed(ds, labels, text_col: str, id_col: str):
       3. anti-join: corpus rows ∪ loser marker rows co-located by id —
          corpus rows with a marker in their group are dropped.
     """
-    S = _CC_SHARDS
-
     def qrows(b: pa.Table) -> pa.Table:
         q = quality_score_batch(b, text_col, id_col)
         n = q.num_rows
@@ -1229,14 +1252,6 @@ def _near_dedup_distributed(ds, labels, text_col: str, id_col: str):
                 "kind": pa.array(np.ones(n, np.int8)),
             }
         )
-
-    def shard_by(col):
-        def f(t: pa.Table) -> pa.Table:
-            t = bare_schema(t)
-            v = t[col].to_numpy(zero_copy_only=False).astype(np.int64)
-            return t.append_column("__shard", pa.array(v % S))
-
-        return f
 
     def attach_root(g: pa.Table) -> pa.Table:
         """doc ids are unique and every pair endpoint is a corpus doc, so a
@@ -1269,18 +1284,14 @@ def _near_dedup_distributed(ds, labels, text_col: str, id_col: str):
         first[1:] = roots[1:] != roots[:-1]
         return pa.table({"id": pa.array(ids[~first])})  # losers
 
-    members = (
-        ds.map_batches(qrows, batch_format="pyarrow")
-        .union(labels.map_batches(lrows, batch_format="pyarrow"))
-        .map_batches(shard_by("id"), batch_format="pyarrow")
-        .groupby("__shard")
-        .map_groups(attach_root, batch_format="pyarrow")
+    members = shard_groups(
+        ds.map_batches(qrows, batch_format="pyarrow").union(
+            labels.map_batches(lrows, batch_format="pyarrow")
+        ),
+        "id",
+        attach_root,
     )
-    losers = (
-        members.map_batches(shard_by("root"), batch_format="pyarrow")
-        .groupby("__shard")
-        .map_groups(elect, batch_format="pyarrow")
-    )
+    losers = shard_groups(members, "root", elect)
 
     # ---- anti-join corpus vs losers (co-location, schema-padded) --------
     try:
@@ -1290,7 +1301,6 @@ def _near_dedup_distributed(ds, labels, text_col: str, id_col: str):
     id_type = base_schema.field(id_col).type
 
     def corpus_tag(b: pa.Table) -> pa.Table:
-        b = bare_schema(b)
         return b.append_column("__loser", pa.array(np.zeros(b.num_rows, np.int8)))
 
     def loser_pad(b: pa.Table) -> pa.Table:
@@ -1307,19 +1317,14 @@ def _near_dedup_distributed(ds, labels, text_col: str, id_col: str):
         ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         loser_ids = np.unique(ids[kind == 1])
         keep = (kind == 0) & ~np.isin(ids, loser_ids)
-        return g.filter(pa.array(keep)).drop_columns(["__loser", "__shard"])
+        return g.filter(pa.array(keep)).drop_columns(["__loser"])
 
-    def shard_by_doc(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        v = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("__shard", pa.array(v % S))
-
-    return (
-        ds.map_batches(corpus_tag, batch_format="pyarrow")
-        .union(losers.map_batches(loser_pad, batch_format="pyarrow"))
-        .map_batches(shard_by_doc, batch_format="pyarrow")
-        .groupby("__shard")
-        .map_groups(drop_marked, batch_format="pyarrow")
+    return shard_groups(
+        ds.map_batches(corpus_tag, batch_format="pyarrow").union(
+            losers.map_batches(loser_pad, batch_format="pyarrow")
+        ),
+        id_col,
+        drop_marked,
     )
 
 
@@ -1498,20 +1503,16 @@ def simhash_pairs(ds, max_hamming: int = 3, text_col: str = "text", id_col: str 
             }
         )
 
-    # coarse group key (chunk, val % SHARDS): whole buckets per group with
-    # bounded group size — see the minhash_lsh_pairs note on UDF dispatch
-    SHARDS = 256
-
-    def chunk_shard_pairs(g: pa.Table) -> pa.Table:
+    def chunk_pairs(g: pa.Table) -> pa.Table:
         ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        chunk = g["chunk"].to_numpy(zero_copy_only=False)
         vals = g["val"].to_numpy(zero_copy_only=False).astype(np.int64)
         hs = g["simhash"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, vals))
-        v, i, h = vals[order], ids[order], hs[order]
-        new = np.concatenate(([True], v[1:] != v[:-1]))
-        starts = np.flatnonzero(new)
+        order = np.lexsort((ids, vals, chunk))
+        c, v, i, h = chunk[order], vals[order], ids[order], hs[order]
+        starts = np.flatnonzero(run_starts(c, v))
         sizes = np.diff(np.concatenate((starts, [v.size])))
-        out_a, out_b, out_h = [], [], []
+        out_a, out_b, out_h = ([np.empty(0, np.int64)] for _ in range(3))
         for s, n in zip(starts[sizes >= 2], sizes[sizes >= 2]):
             if n > _BUCKET_CAP:
                 import logging
@@ -1528,11 +1529,6 @@ def simhash_pairs(ds, max_hamming: int = 3, text_col: str = "text", id_col: str 
             out_a.append(run_i[ia][ok])
             out_b.append(run_i[ib][ok])
             out_h.append(ham[ok])
-        if not out_a:
-            return pa.table(
-                {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                 "hamming": pa.array([], pa.int64())}
-            )
         return pa.table(
             {
                 "a": pa.array(np.concatenate(out_a)),
@@ -1541,16 +1537,12 @@ def simhash_pairs(ds, max_hamming: int = 3, text_col: str = "text", id_col: str 
             }
         )
 
-    def add_shard(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        sh = t["val"].to_numpy(zero_copy_only=False).astype(np.int64) % SHARDS
-        return t.append_column("shard", pa.array(sh))
-
     return (
-        ds.map_batches(explode_chunks, batch_format="pyarrow")
-        .map_batches(add_shard, batch_format="pyarrow")
-        .groupby(["chunk", "shard"])
-        .map_groups(chunk_shard_pairs, batch_format="pyarrow")
+        shard_groups(
+            ds.map_batches(explode_chunks, batch_format="pyarrow"),
+            ["chunk", "val"],
+            chunk_pairs,
+        )
         .groupby(["a", "b"])
         .min("hamming")  # native aggregate dedupe (equal hamming per dup)
         .map_batches(
@@ -1801,10 +1793,11 @@ def _embedding_neardup_lsh(
     ds, threshold, id_col, vec_col, n_planes, n_tables, seed, bucket_cap
 ):
     """Banded hyperplane-LSH near-dup pairs (see embedding_neardup_pairs):
-    explode ×T tables (narrow) → ONE (table, bucket) groupby → exact
-    within-bucket cosine verify (vectorized gram tile, upper triangle by
-    id) → (a, b) groupby dedup.  Shuffle volume is T× the vector column —
-    linear in the corpus, never O(N²)."""
+    explode ×T tables (narrow) → ONE (table, bucket)-keyed
+    ``shard_groups`` exchange → exact within-bucket cosine verify
+    (vectorized gram tile, upper triangle by id) → (a, b) groupby dedup.
+    Shuffle volume is T× the vector column — linear in the corpus, never
+    O(N²)."""
     import math as _math
 
     if threshold < 0.8:
@@ -1839,34 +1832,40 @@ def _embedding_neardup_lsh(
             "bucket", pa.array(bks.reshape(-1))
         )
 
-    def verify_bucket(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64())}
-        )
-        # degenerate hot buckets (e.g. all-zero vectors) are skipped, same
-        # contract as the minhash bucket cap — cap² pairwork bound per task
-        if g.num_rows < 2 or g.num_rows > bucket_cap:
-            return empty
+    def verify_buckets(g: pa.Table) -> pa.Table:
+        tbl = g["table"].to_numpy(zero_copy_only=False)
+        bkt = g["bucket"].to_numpy(zero_copy_only=False)
         ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        vecs = _normalize(_vec_matrix(g, vec_col))
-        sims = vecs @ vecs.T
-        hit = (sims >= threshold) & (ids[:, None] < ids[None, :])
-        r, c = np.nonzero(hit)
-        if r.size == 0:
-            return empty
+        order = np.lexsort((ids, bkt, tbl))
+        starts = np.flatnonzero(run_starts(tbl[order], bkt[order]))
+        sizes = np.diff(np.append(starts, order.size))
+        # degenerate hot buckets (e.g. all-zero vectors) are skipped, same
+        # contract as the minhash bucket cap — cap² pairwork bound per bucket
+        multi = (sizes >= 2) & (sizes <= bucket_cap)
+        vecs = _normalize(_vec_matrix(g, vec_col)) if multi.any() else None
+        out_a, out_b, out_c = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+        for s, n in zip(starts[multi], sizes[multi]):
+            rows = order[s : s + n]
+            rid = ids[rows]
+            sims = vecs[rows] @ vecs[rows].T
+            r, c = np.nonzero((sims >= threshold) & (rid[:, None] < rid[None, :]))
+            out_a.append(rid[r])
+            out_b.append(rid[c])
+            out_c.append(round_half_away(sims[r, c], 4))
         return pa.table(
             {
-                "a": pa.array(ids[r]),
-                "b": pa.array(ids[c]),
-                "cosine": pa.array(round_half_away(sims[r, c], 4)),
+                "a": pa.array(np.concatenate(out_a)),
+                "b": pa.array(np.concatenate(out_b)),
+                "cosine": pa.array(np.concatenate(out_c)),
             }
         )
 
     return (
-        ds.map_batches(explode_tables, batch_format="pyarrow")
-        .groupby(["table", "bucket"])
-        .map_groups(verify_bucket, batch_format="pyarrow")
+        shard_groups(
+            ds.map_batches(explode_tables, batch_format="pyarrow"),
+            ["table", "bucket"],
+            verify_buckets,
+        )
         .groupby(["a", "b"])
         .min("cosine")  # dedupe cross-table repeats (cosine identical)
         .map_batches(
@@ -2779,14 +2778,13 @@ def hash_sample(ds, rate: float = 0.1, id_col: str = "doc_id"):
 #      of key: at 10^12 windows the expected number of colliding PAIRS is
 #      ~10^24/2^129 ~ 10^-15 — exactness holds at any realistic scale,
 #      without shipping the L-token window text through the shuffle).
-#   2. ONE hash-keyed exchange: shard by h1, and inside each shard group
-#      every occurrence of a key is present, so "key occurs >= 2 times" is a
+#   2. ONE (h1, h2)-keyed ``shard_groups`` exchange: every occurrence of a
+#      key reaches the same kernel call, so "key occurs >= 2 times" is a
 #      local vectorized run-length test — no join, no second pass over the
 #      corpus.  Only duplicated occurrences (the candidate set, typically a
-#      tiny fraction of windows) leave this stage.  ``shards`` bounds group
-#      size (~|windows|/shards rows per group); size it so a group stays
-#      well under Arrow's 2 GB single-array limit — 1024 suits up to
-#      ~10^11 windows, raise proportionally beyond.
+#      tiny fraction of windows) leave this stage.  A call holds
+#      ~|windows|/SHARDS rows; at 256 shards an int64 column of a call
+#      stays under Arrow's 2 GB single-array limit up to ~5·10^10 windows.
 #   3. ONE doc-keyed exchange merges each document's duplicated windows into
 #      maximal spans (vectorized gap scan; a gap > L between window starts
 #      breaks a span) and emits per-doc span stats.
@@ -2853,13 +2851,17 @@ def window_occurrences_batch(
     )
 
 
-def substring_dedup(
-    ds,
-    L: int = 8,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    shards: int = 1024,
-):
+def _dup_windows(g: pa.Table) -> np.ndarray:
+    """Row indices of ``g`` whose (h1, h2) window key occurs ≥ 2 times —
+    every occurrence of a key is in the same ``shard_groups`` call."""
+    h1 = g["h1"].to_numpy(zero_copy_only=False)
+    h2 = g["h2"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((h2, h1))
+    run_id = np.cumsum(run_starts(h1[order], h2[order])) - 1
+    return order[np.bincount(run_id)[run_id] >= 2]
+
+
+def substring_dedup(ds, L: int = 8, text_col: str = "text", id_col: str = "doc_id"):
     """Per-doc duplicated-substring span stats: (doc_id, n_tokens,
     dup_tokens, dup_spans) for every document containing at least one
     corpus-duplicated L-gram (docs with zero duplicated windows are simply
@@ -2872,41 +2874,8 @@ def substring_dedup(
         batch_format="pyarrow",
     )
 
-    def add_shard(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        sh = (t["h1"].to_numpy(zero_copy_only=False).view(np.uint64) % np.uint64(shards)).astype(
-            np.int64
-        )
-        return t.append_column("shard", pa.array(sh))
-
     def dup_occurrences(g: pa.Table) -> pa.Table:
-        # every occurrence of a (h1, h2) key is in this group; duplicated
-        # keys = runs of length >= 2 in the lexsorted key array
-        h1 = g["h1"].to_numpy(zero_copy_only=False)
-        h2 = g["h2"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((h2, h1))
-        s1, s2 = h1[order], h2[order]
-        new_run = np.empty(order.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
-        run_id = np.cumsum(new_run) - 1
-        run_len = np.bincount(run_id)
-        dup = run_len[run_id] >= 2
-        sel = order[dup]
-        return pa.table(
-            {
-                "doc": pa.array(g["doc"].to_numpy(zero_copy_only=False)[sel]),
-                "pos": pa.array(g["pos"].to_numpy(zero_copy_only=False)[sel]),
-                "ntok": pa.array(g["ntok"].to_numpy(zero_copy_only=False)[sel]),
-            }
-        )
-
-    def add_doc_shard(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        sh = (
-            t["doc"].to_numpy(zero_copy_only=False).view(np.uint64) % np.uint64(shards)
-        ).astype(np.int64)
-        return t.append_column("dshard", pa.array(sh))
+        return g.select(["doc", "pos", "ntok"]).take(pa.array(_dup_windows(g)))
 
     def doc_spans(g: pa.Table) -> pa.Table:
         doc = g["doc"].to_numpy(zero_copy_only=False)
@@ -2916,84 +2885,54 @@ def substring_dedup(
         doc, pos, ntok = doc[order], pos[order], ntok[order]
         # span break: new doc, or a start gap > L (gap == L means the two
         # windows' covered intervals touch — still one contiguous span)
-        brk = np.empty(doc.size, dtype=bool)
-        brk[0] = True
-        brk[1:] = (doc[1:] != doc[:-1]) | (pos[1:] - pos[:-1] > L)
-        starts = np.nonzero(brk)[0]
-        ends = np.concatenate([starts[1:], [doc.size]]) - 1
+        brk = run_starts(doc)
+        brk[1:] |= pos[1:] - pos[:-1] > L
+        starts = np.flatnonzero(brk)
+        ends = np.append(starts[1:], doc.size)[: starts.size] - 1
         covered = pos[ends] - pos[starts] + L  # contiguous within a span
         span_doc = doc[starts]
         # reduce spans -> per-doc rows (spans are doc-sorted)
-        dbrk = np.empty(span_doc.size, dtype=bool)
-        dbrk[0] = True
-        dbrk[1:] = span_doc[1:] != span_doc[:-1]
-        dstarts = np.nonzero(dbrk)[0]
+        dstarts = np.flatnonzero(run_starts(span_doc))
         return pa.table(
             {
-                "doc_id": pa.array(span_doc[dstarts]),
-                "n_tokens": pa.array(ntok[starts][dstarts]),
-                "dup_tokens": pa.array(np.add.reduceat(covered, dstarts)),
+                "doc_id": pa.array(span_doc[dstarts], pa.int64()),
+                "n_tokens": pa.array(ntok[starts][dstarts], pa.int64()),
+                "dup_tokens": pa.array(np.add.reduceat(covered, dstarts), pa.int64()),
                 "dup_spans": pa.array(
-                    np.diff(np.concatenate([dstarts, [span_doc.size]]))
+                    np.diff(np.concatenate([dstarts, [span_doc.size]])), pa.int64()
                 ),
             }
         )
 
-    return (
-        occ.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(dup_occurrences, batch_format="pyarrow")
-        .map_batches(add_doc_shard, batch_format="pyarrow")
-        .groupby("dshard")
-        .map_groups(doc_spans, batch_format="pyarrow")
-    )
+    dups = shard_groups(occ, ["h1", "h2"], dup_occurrences)
+    return shard_groups(dups, "doc", doc_spans)
 
 
 def remove_duplicate_substrings(
-    ds,
-    L: int = 8,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    shards: int = 1024,
+    ds, L: int = 8, text_col: str = "text", id_col: str = "doc_id"
 ):
     """Cleaned corpus: every token covered by a corpus-duplicated L-gram is
     dropped and the survivors re-joined with single spaces -> (doc_id,
     clean_text, n_tokens, dup_tokens).  Docs with no duplicated window pass
-    through verbatim.  Plan = substring_dedup's two keyed exchanges to find
-    duplicated occurrences, then ONE more doc-keyed exchange co-locating
-    each doc's text row with its duplicated window starts (union + sharded
-    groupby — the join idiom used by the jaccard/minhash verify stages)."""
-    import ray  # noqa: F401
+    through verbatim.  Plan = substring_dedup's window-keyed exchange to
+    find duplicated occurrences, then ONE doc-keyed exchange co-locating
+    each doc's text row with its duplicated window starts (union +
+    ``shard_groups`` — the join idiom used by the jaccard/minhash verify
+    stages)."""
 
     occ = ds.map_batches(
         lambda b: window_occurrences_batch(b, L, text_col, id_col),
         batch_format="pyarrow",
     )
 
-    def add_shard(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        sh = (t["h1"].to_numpy(zero_copy_only=False).view(np.uint64) % np.uint64(shards)).astype(
-            np.int64
-        )
-        return t.append_column("shard", pa.array(sh))
-
     def dup_starts(g: pa.Table) -> pa.Table:
-        h1 = g["h1"].to_numpy(zero_copy_only=False)
-        h2 = g["h2"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((h2, h1))
-        s1, s2 = h1[order], h2[order]
-        new_run = np.empty(order.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
-        run_id = np.cumsum(new_run) - 1
-        dup = np.bincount(run_id)[run_id] >= 2
-        sel = order[dup]
+        sel = pa.array(_dup_windows(g))
         return pa.table(
             {
-                "doc": pa.array(g["doc"].to_numpy(zero_copy_only=False)[sel]),
-                "pos": pa.array(g["pos"].to_numpy(zero_copy_only=False)[sel]),
-                "txt": pa.array([None] * sel.size, type=pa.string()),
-                "side": pa.array(np.ones(sel.size, dtype=np.int32)),
+                "doc": g["doc"].take(sel),
+                "pos": g["pos"].take(sel),
+                "txt": pa.nulls(len(sel), pa.string()),
+                "side": pa.array(np.ones(len(sel), dtype=np.int32)),
             }
         )
 
@@ -3007,13 +2946,6 @@ def remove_duplicate_substrings(
                 "side": pa.array(np.zeros(len(ids), dtype=np.int32)),
             }
         )
-
-    def add_doc_shard(t: pa.Table) -> pa.Table:
-        t = bare_schema(t)
-        sh = (
-            t["doc"].to_numpy(zero_copy_only=False).view(np.uint64) % np.uint64(shards)
-        ).astype(np.int64)
-        return t.append_column("dshard", pa.array(sh))
 
     def rebuild(g: pa.Table) -> pa.Table:
         side = g["side"].to_numpy(zero_copy_only=False)
@@ -3034,7 +2966,7 @@ def remove_duplicate_substrings(
                 covered[base + off] = True
         kept = ~covered
         new_counts = np.bincount(parent[kept], minlength=len(docs)).astype(np.int64)
-        kept_flat = pa.chunked_array([flat]).combine_chunks().filter(pa.array(kept))
+        kept_flat = pa.chunked_array([flat], pa.string()).combine_chunks().filter(pa.array(kept))
         # 64-bit offsets: a doc-shard group's token total is unbounded by
         # any single doc, so don't let int32 cumsum be the silent ceiling
         offsets = np.concatenate([[0], np.cumsum(new_counts)]).astype(np.int64)
@@ -3042,25 +2974,16 @@ def remove_duplicate_substrings(
         clean = pc.binary_join(lists, " ")
         return pa.table(
             {
-                "doc_id": pa.array(docs),
+                "doc_id": pa.array(docs, pa.int64()),
                 "clean_text": clean,
-                "n_tokens": pa.array(n_tok),
-                "dup_tokens": pa.array(n_tok - np.bincount(parent[kept], minlength=len(docs))),
+                "n_tokens": pa.array(n_tok, pa.int64()),
+                "dup_tokens": pa.array(n_tok - new_counts, pa.int64()),
             }
         )
 
-    dups = (
-        occ.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(dup_starts, batch_format="pyarrow")
-    )
+    dups = shard_groups(occ, ["h1", "h2"], dup_starts)
     texts = ds.map_batches(text_rows, batch_format="pyarrow")
-    return (
-        dups.union(texts)
-        .map_batches(add_doc_shard, batch_format="pyarrow")
-        .groupby("dshard")
-        .map_groups(rebuild, batch_format="pyarrow")
-    )
+    return shard_groups(dups.union(texts), "doc", rebuild)
 
 
 # ---------------------------------------------------------------------------

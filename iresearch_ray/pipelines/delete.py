@@ -281,6 +281,16 @@ def segment_dead_count(
     return dead
 
 
+def segment_deleted_mask(index_dir: str, manifest: dict, seg_dir: str, reader):
+    """Deleted-doc mask of the segment at ``seg_dir`` (a path or a bare
+    segment name): the tombstone keys of ``manifest`` scoped to that
+    segment, probed against ``reader``'s docs.  None when none applies."""
+    if not manifest.get("tombstones"):
+        return None
+    name = os.path.basename(seg_dir.rstrip("/"))
+    return deleted_doc_mask(reader, load_tombstone_keys(index_dir, manifest, for_segment=name))
+
+
 def deleted_doc_mask(reader, keys: set[tuple[str, int]]) -> np.ndarray | None:
     """Boolean mask over the reader's doc space (index doc_id-1): True =
     deleted.  None when no key touches this segment.  Membership test is a

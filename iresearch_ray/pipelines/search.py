@@ -60,19 +60,12 @@ class Searcher:
         self._pool: "QueryPool | None" = None
 
     def _deleted_for(self, i: int, reader: SegmentReader):
-        if not self.manifest.get("tombstones"):
-            return None
         if i not in self._masks:
-            import os
+            from iresearch_ray.pipelines.delete import segment_deleted_mask
 
-            from iresearch_ray.pipelines.delete import (
-                deleted_doc_mask,
-                load_tombstone_keys,
+            self._masks[i] = segment_deleted_mask(
+                self.index_dir, self.manifest, self.seg_dirs[i], reader
             )
-
-            seg_name = os.path.basename(self.seg_dirs[i].rstrip("/"))
-            keys = load_tombstone_keys(self.index_dir, self.manifest, for_segment=seg_name)
-            self._masks[i] = deleted_doc_mask(reader, keys)
         return self._masks[i]
 
     # -- prepare ----------------------------------------------------------
@@ -253,7 +246,6 @@ class _PoolWorker:
     def __init__(self, index_dir: str, seg_dirs: list[str], tombs_json: str, cache_size: int = 256, crypto=None):
         import collections
         import json as _json
-        import os as _os
 
         # proxy/caching-filter analog (SURVEY §2.5 bitset/cached iterators):
         # per-worker LRU of fully-evaluated shard results keyed by the plan
@@ -267,23 +259,13 @@ class _PoolWorker:
             8 << 20, SegmentReader.POSTING_CACHE_BYTES // max(1, len(seg_dirs))
         )
         self.readers = [SegmentReader(d, cache_bytes=per_reader, crypto=crypto) for d in seg_dirs]
-        self.deleted = []
-        for d, r in zip(seg_dirs, self.readers):
-            if tombs_json:
-                from iresearch_ray.pipelines.delete import (
-                    deleted_doc_mask,
-                    load_tombstone_keys,
-                )
+        from iresearch_ray.pipelines.delete import segment_deleted_mask
 
-                name = _os.path.basename(d.rstrip("/"))
-                keys = load_tombstone_keys(
-                    index_dir,
-                    {"tombstones": _json.loads(tombs_json), "segments": []},
-                    for_segment=name,
-                )
-                self.deleted.append(deleted_doc_mask(r, keys))
-            else:
-                self.deleted.append(None)
+        # tombstone entries arrive pre-scoped ({"file", "segments"} dicts)
+        tombs = {"tombstones": _json.loads(tombs_json) if tombs_json else []}
+        self.deleted = [
+            segment_deleted_mask(index_dir, tombs, d, r) for d, r in zip(seg_dirs, self.readers)
+        ]
 
     def run(self, plans: dict[str, str], k: int):
         import json as _json

@@ -354,7 +354,7 @@ def merge_segments(index_dir: str, seg_names: list[str], generation: int, crypto
     # deletes present? purge by REBUILDING from the stored doc rows (the
     # doc_map-with-drops path, ref: merge_writer doc_map remap; our blob-
     # concat fast path is only valid for the no-drops offset remap)
-    from iresearch_ray.pipelines.delete import deleted_doc_mask, load_tombstone_keys
+    from iresearch_ray.pipelines.delete import segment_deleted_mask
     from iresearch_ray.state.manifest import load_manifest as _lm
 
     man = _lm(index_dir) or {}
@@ -362,8 +362,7 @@ def merge_segments(index_dir: str, seg_names: list[str], generation: int, crypto
         masks = []
         any_deleted = False
         for name, r in zip(seg_names, readers):
-            keys = load_tombstone_keys(index_dir, man, for_segment=name)
-            m = deleted_doc_mask(r, keys)  # vectorized is_in probe
+            m = segment_deleted_mask(index_dir, man, name, r)  # vectorized is_in probe
             if m is None:
                 m = np.zeros(r.docs.num_rows, dtype=bool)
             masks.append(m)

@@ -13,7 +13,6 @@ cross-batch cache would never hit.  Output is the per-segment top-k
 from __future__ import annotations
 
 import json
-import os
 
 import pyarrow as pa
 
@@ -59,14 +58,10 @@ def search_batch_task(
         if not tombstones_json:
             return None
         if seg_dir not in masks:
-            from iresearch_ray.pipelines.delete import deleted_doc_mask, load_tombstone_keys
+            from iresearch_ray.pipelines.delete import segment_deleted_mask
 
-            keys = load_tombstone_keys(
-                index_dir,
-                {"tombstones": json.loads(tombstones_json), "segments": []},
-                for_segment=os.path.basename(seg_dir.rstrip("/")),
-            )
-            masks[seg_dir] = deleted_doc_mask(reader(seg_dir), keys)
+            tombs = {"tombstones": json.loads(tombstones_json)}
+            masks[seg_dir] = segment_deleted_mask(index_dir, tombs, seg_dir, reader(seg_dir))
         return masks[seg_dir]
 
     out: list[pa.Table] = []

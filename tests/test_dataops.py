@@ -59,6 +59,43 @@ def test_exact_dedup(docs_tbl, ray_session):
     assert len(out) == both.num_rows - 10
 
 
+def test_exact_dedup_empty_input_keeps_schema(docs_tbl, ray_session):
+    full = ops.exact_dedup(_ds(docs_tbl.slice(0, 50), ray_session)).materialize()
+    empty = ops.exact_dedup(_ds(docs_tbl.schema.empty_table(), ray_session)).materialize()
+    assert empty.count() == 0
+    assert empty.schema().base_schema == full.schema().base_schema
+
+
+@pytest.mark.parametrize("key", ["k", "s"])
+def test_shard_groups_delivers_each_key_whole_to_one_call(key, ray_session):
+    """One hot key plus thousands of singleton keys, shuffled over several
+    input blocks: every key reaches exactly one kernel call, with all of
+    its rows, and a call holds many keys."""
+    import uuid
+
+    import ray.data as rd
+
+    rng = np.random.default_rng(3)
+    k = rng.permutation(np.concatenate([np.full(2_000, -1), np.arange(4_000)]))
+    tbl = pa.table({"k": pa.array(k, pa.int64()), "s": pa.array([f"u{x}" for x in k])})
+    blocks = [tbl.slice(i, 1_500) for i in range(0, tbl.num_rows, 1_500)]
+
+    def kernel(g: pa.Table) -> pa.Table:
+        vals, counts = np.unique(g[key].to_numpy(zero_copy_only=False), return_counts=True)
+        return pa.table({"key": pa.array(vals), "n": pa.array(counts, pa.int64()),
+                         "call": pa.array([uuid.uuid4().hex] * len(vals), pa.string())})
+
+    out = ops.shard_groups(rd.from_arrow(blocks), key, kernel).to_pandas()
+    exp = tbl.to_pandas()[key].value_counts()
+    assert out["key"].is_unique  # no key spans two calls
+    assert len(out) == len(exp)
+    assert (out.set_index("key")["n"] == exp.loc[out["key"]].to_numpy()).all()
+    hot = -1 if key == "k" else "u-1"
+    assert int(out.set_index("key").loc[hot, "n"]) == 2_000
+    n_calls = out["call"].nunique()
+    assert 1 < n_calls <= ops.SHARDS
+
+
 def test_token_stats_vs_duckdb(docs_tbl, ray_session):
     out = (
         ops.token_stats(_ds(docs_tbl, ray_session))

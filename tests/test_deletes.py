@@ -41,9 +41,11 @@ def test_delete_keys_masks_results(idx):
     # until a merge — reference semantics)
     merged = before.merge(after, on=["conv_id", "turn_idx"], suffixes=("_b", "_a"))
     assert np.allclose(merged["score_b"], merged["score_a"])
-    # distributed path agrees
+    # distributed and pooled paths agree
     ray_out = s2.search_ray({"q": F.Term("text", "agent")}, k=100_000, concurrency=2)
     assert _keys(ray_out) == _keys(after)
+    pooled = s2.search_pooled({"q": F.Term("text", "agent")}, k=100_000, num_actors=2)
+    assert _keys(pooled) == _keys(after)
 
 
 def test_delete_by_filter_and_purge(idx):

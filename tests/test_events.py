@@ -9,6 +9,8 @@ import pytest
 from iresearch_ray.pipelines import events as ev
 from iresearch_ray.pipelines.dataops import bpe_token_stats
 
+US = 1_000_000
+
 
 @pytest.fixture(scope="module")
 def events_tbl():
@@ -26,14 +28,56 @@ def events_tbl():
     )
 
 
+@pytest.fixture(scope="module")
+def many_users_tbl():
+    """3,000 users with 1-5 events each in ~20-minute bursts, some repeated
+    a day or two later.  Rows are in ts order, so every user's events
+    interleave with other users' across the input blocks and a kernel call
+    holds many users."""
+    rng = np.random.default_rng(11)
+    per_user = rng.integers(1, 6, 3_000)
+    uid = np.repeat(np.arange(per_user.size), per_user)
+    ts = (
+        rng.integers(0, 5 * 86400 * US, per_user.size)[uid]
+        + rng.integers(0, 3, uid.size) * 86400 * US
+        + rng.exponential(20 * 60 * US, uid.size).astype(np.int64)
+    )
+    order = np.argsort(ts, kind="stable")
+    n = uid.size
+    return pa.table(
+        {
+            "event_id": pa.array(np.arange(n, dtype=np.int64)),
+            "ts": pa.array(ts[order], pa.int64()).cast(pa.timestamp("us")),
+            "user_id": pa.array(uid[order].astype(np.int64)),
+            "event_type": pa.array(rng.choice(["click", "view", "error"], n)),
+            "value": pa.array(np.round(rng.uniform(0, 20, n), 2)),
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def fixtures(events_tbl, many_users_tbl):
+    """(table, blocks): the 25-user table as one block, the 3,000-user
+    table as 4 blocks."""
+    n = many_users_tbl.num_rows
+    step = -(-n // 4)
+    blocks = [many_users_tbl.slice(i, step) for i in range(0, n, step)]
+    return [(events_tbl, [events_tbl]), (many_users_tbl, blocks)]
+
+
 def _ds(tbl, _ray):
     import ray.data as rd
 
     return rd.from_arrow(tbl)
 
 
-def test_sessionize_vs_brute(events_tbl, ray_session):
-    out = ev.sessionize(_ds(events_tbl, ray_session)).to_pandas()
+def test_sessionize_vs_brute(fixtures, ray_session):
+    for tbl, blocks in fixtures:
+        _check_sessionize(tbl, _ds(blocks, ray_session))
+
+
+def _check_sessionize(events_tbl, ds):
+    out = ev.sessionize(ds).to_pandas()
     df = events_tbl.to_pandas()
     df["tus"] = df["ts"].astype("int64")
     exp_rows = []
@@ -118,9 +162,14 @@ def test_props_k_stats(ray_session):
     assert out.loc["b", "n_missing"] == 1
 
 
-def test_asof_join_vs_brute(events_tbl, ray_session):
+def test_asof_join_vs_brute(fixtures, ray_session):
+    for tbl, blocks in fixtures:
+        _check_asof_join(tbl, _ds(blocks, ray_session))
+
+
+def _check_asof_join(events_tbl, ds):
     out = (
-        ev.asof_join(_ds(events_tbl, ray_session), "click", "view")
+        ev.asof_join(ds, "click", "view")
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)
@@ -147,10 +196,15 @@ def test_asof_join_vs_brute(events_tbl, ray_session):
     pd.testing.assert_frame_equal(out, exp)
 
 
-def test_range_join_count_vs_brute(events_tbl, ray_session):
+def test_range_join_count_vs_brute(fixtures, ray_session):
+    for tbl, blocks in fixtures:
+        _check_range_join_count(tbl, _ds(blocks, ray_session))
+
+
+def _check_range_join_count(events_tbl, ds):
     w_us = 600 * 1_000_000
     out = (
-        ev.range_join_count(_ds(events_tbl, ray_session), "click", "view", 600)
+        ev.range_join_count(ds, "click", "view", 600)
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)
@@ -212,10 +266,15 @@ def test_funnel_first_touch_semantics(ray_session):
     assert out["n_users"].tolist() == [4, 3, 1]
 
 
-def test_retention_cohorts_vs_brute(events_tbl, ray_session):
-    # daily periods so the 5-day fixture spans several offsets
+def test_retention_cohorts_vs_brute(fixtures, ray_session):
+    for tbl, blocks in fixtures:
+        _check_retention_cohorts(tbl, _ds(blocks, ray_session))
+
+
+def _check_retention_cohorts(events_tbl, ds):
+    # daily periods so the 5-day fixtures span several offsets
     out = (
-        ev.retention_cohorts(_ds(events_tbl, ray_session), period_secs=86400)
+        ev.retention_cohorts(ds, period_secs=86400)
         .to_pandas()
         .sort_values(["cohort_period", "period_offset"])
         .reset_index(drop=True)
@@ -240,3 +299,30 @@ def test_retention_cohorts_vs_brute(events_tbl, ray_session):
     m = out.pivot(index="cohort_period", columns="period_offset", values="n_users")
     base = m[0]
     assert ((m.le(base, axis=0)) | m.isna()).all().all()
+
+
+def test_funnel_vs_brute(fixtures, ray_session):
+    steps = ("view", "click", "error")
+    for tbl, blocks in fixtures:
+        out = ev.funnel(_ds(blocks, ray_session), steps).to_pandas()
+        reached = []
+        for _, g in tbl.to_pandas().sort_values("ts", kind="mergesort").groupby("user_id"):
+            n, cur = 0, None
+            for step in steps:
+                m = g[(g.event_type == step) & ((g.ts > cur) if cur is not None else True)]
+                if m.empty:
+                    break
+                cur, n = m.ts.iloc[0], n + 1
+            reached.append(n)
+        reached = np.array(reached)
+        assert out["n_users"].tolist() == [int((reached >= i).sum()) for i in (1, 2, 3)]
+
+
+def test_empty_input_keeps_output_schema(events_tbl, ray_session):
+    import ray.data as rd
+
+    for op in (ev.sessionize, ev.asof_join):
+        full = op(rd.from_arrow(events_tbl)).materialize()
+        empty = op(rd.from_arrow(events_tbl.schema.empty_table())).materialize()
+        assert empty.count() == 0
+        assert empty.schema().base_schema == full.schema().base_schema
