@@ -162,7 +162,7 @@ def spans_for_hits(
     texts: list[str | None] = []
     spans: list[list[tuple[int, int]]] = []
     found: list[bool] = []
-    stored = field in reader.docs.column_names
+    stored = field in reader.docs_schema.names
     for c, t in zip(conv, turn):
         pos = _locate(reader, c, t)
         if pos is None:
@@ -171,7 +171,7 @@ def spans_for_hits(
             found.append(False)
             continue
         found.append(True)
-        text = reader.docs[field][pos].as_py() if stored else None
+        text = reader.doc_column(field)[pos].as_py() if stored else None
         texts.append(text)
         if source == "index":
             doc_spans: list[tuple[int, int]] = []
@@ -208,7 +208,7 @@ def highlights(
                 "highlights(source='index') needs the index built with "
                 "IndexConfig(offsets=True)"
             )
-    elif readers and any(field not in r.docs.column_names for r in readers):
+    elif readers and any(field not in r.docs_schema.names for r in readers):
         raise ValueError(
             f"highlights() needs the index built with store_text=True "
             f"(stored column {field!r} missing)"

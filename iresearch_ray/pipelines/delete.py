@@ -304,6 +304,6 @@ def deleted_doc_mask(reader, keys: set[tuple[str, int]]) -> np.ndarray | None:
         pa.array([k[0] for k in keys], pa.string()),
         pa.array([int(k[1]) for k in keys], pa.int64()),
     )
-    k = _combined_keys(reader.docs["conv_id"], reader.docs["turn_idx"])
+    k = _combined_keys(reader.doc_column("conv_id"), reader.doc_column("turn_idx"))
     mask = pc.is_in(k, value_set=vs).to_numpy(zero_copy_only=False)
     return mask if mask.any() else None

@@ -22,7 +22,7 @@ import pyarrow as pa
 from iresearch_ray.query.exec import segment_topk
 from iresearch_ray.query.filters import Filter, Prepared, ScorerCfg, prepare
 from iresearch_ray.stages.searcher import RESULT_SCHEMA, search_batch_task
-from iresearch_ray.stages.segment import IndexConfig, SegmentReader
+from iresearch_ray.stages.segment import IndexConfig, SegmentReader, open_readers
 from iresearch_ray.state.manifest import load_manifest, segment_dirs
 from iresearch_ray.state.stats import build_global_stats
 
@@ -42,7 +42,15 @@ def merge_topk(frames: pd.DataFrame, k: int) -> pd.DataFrame:
 
 class Searcher:
     """Point-in-time searcher over one index generation (the
-    directory_reader snapshot analog)."""
+    directory_reader snapshot analog).
+
+    It pins the manifest loaded at construction; later commits are
+    invisible until a new Searcher is opened.  Its segment readers come
+    from the process-level reader cache (``stages.segment.open_readers``):
+    segments are immutable, so a Searcher on a new generation reuses the
+    loaded readers of every segment it shares with an older one and reads
+    only the new segments.  Tombstone masks depend on the generation and
+    stay per Searcher."""
 
     def __init__(self, index_dir: str, crypto=None):
         self.index_dir = index_dir
@@ -75,7 +83,7 @@ class Searcher:
     # -- local (in-process) execution: tests, tiny indexes ----------------
     def _local_readers(self) -> list[SegmentReader]:
         if self._readers is None:
-            self._readers = [SegmentReader(d, crypto=self.crypto) for d in self.seg_dirs]
+            self._readers = open_readers(self.seg_dirs, self.crypto)
         return self._readers
 
     def search_local(

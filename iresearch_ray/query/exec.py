@@ -234,12 +234,12 @@ def _geo_column(reader: SegmentReader, field: str):
     if hit is None:
         from iresearch_ray.functions.geo import parse_latlon
 
-        if field not in reader.docs.column_names:
+        if field not in reader.docs_schema.names:
             raise ValueError(
                 f"geo field {field!r} has no stored column (build with "
                 f"IndexConfig(geo_fields=({field!r},)))"
             )
-        hit = memo[field] = parse_latlon(reader.docs[field].to_pylist())
+        hit = memo[field] = parse_latlon(reader.doc_column(field).to_pylist())
     return hit
 
 
@@ -414,8 +414,8 @@ def eval_node(
         cfg = reader.meta.get("config", {})
         if f == cfg.get("text_field", "text"):
             mask = reader.dls > 0
-        elif f in reader.docs.column_names:
-            mask = reader.docs[f].is_valid().to_numpy(zero_copy_only=False)
+        elif f in reader.docs_schema.names:
+            mask = reader.doc_column(f).is_valid().to_numpy(zero_copy_only=False)
         else:
             # dynamic field (json_fields leaf): not a stored doc column —
             # existence = union of the field's posting lists (constant score)
@@ -744,7 +744,7 @@ def segment_topk(
     return pa.table(
         {
             "conv_id": pa.array(conv[order], pa.string()),
-            "turn_idx": pa.array(turn[order]).cast(reader.docs["turn_idx"].type),
+            "turn_idx": pa.array(turn[order]).cast(reader.docs_schema.field("turn_idx").type),
             "score": pa.array(scores_s[order], pa.float64()),
         }
     )

@@ -30,9 +30,11 @@ re-expressed as a single vectorized factorize/lexsort pass over the exploded
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -716,10 +718,20 @@ def write_segment(
 
 
 class SegmentReader:
-    """Point-in-time reader over one segment dir (ref:
-    core/index/segment_reader.hpp).  Loads terms/docs tables lazily and keeps
-    them cached — a QueryPool actor keeps its shard's readers so the load
-    happens once per worker (SURVEY §3.2)."""
+    """Point-in-time reader over one immutable segment dir (ref:
+    core/index/segment_reader.hpp).  Every artifact loads lazily on first
+    use and stays cached: the terms table, each docs column on its own
+    (``doc_column`` reads one column, so ``dl``/``conv_id``/``turn_idx``
+    never pull the stored text in), the docs schema from the parquet
+    footer alone (``docs_schema``), the per-field term index and decoded
+    postings.  The full ``docs`` table is read only by callers that need
+    every column (merges, the build's text check).
+
+    A segment's files never change, so one reader can serve every
+    generation that lists the segment: ``Searcher`` takes its readers
+    from the process-level cache (``open_readers``), and a refresh
+    re-reads only new segments.  A QueryPool actor keeps its shard's
+    readers so the load happens once per worker (SURVEY §3.2)."""
 
     # decoded-postings cache budget per reader (hot terms decode once —
     # the posting-cache analog of the reference's OS page cache reuse).
@@ -732,17 +744,37 @@ class SegmentReader:
     POSTING_CACHE_BYTES = 256 << 20
 
     def __init__(self, seg_dir: str, cache_bytes: int | None = None, crypto=None):
-        import collections
-
         self.seg_dir = seg_dir
         self.crypto = crypto
         self._cache_budget = cache_bytes if cache_bytes is not None else self.POSTING_CACHE_BYTES
         self._terms: pa.Table | None = None
         self._docs: pa.Table | None = None
+        self._doc_cols: dict[str, pa.ChunkedArray] = {}
+        self._docs_schema: pa.Schema | None = None
         self._meta: dict | None = None
         self._term_index: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._dls: np.ndarray | None = None
+        self._doc_keys: tuple[np.ndarray, np.ndarray] | None = None
         self._posting_cache: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
         self._posting_cache_bytes = 0
+
+    def loaded_bytes(self) -> int:
+        """Approximate memory held by what this reader has loaded so far:
+        the terms table, docs columns, term-index and doc-key arrays and
+        the posting cache.  Grows as queries touch more of the segment."""
+        n = self._posting_cache_bytes
+        if self._terms is not None:
+            n += self._terms.nbytes
+        if self._docs is not None:
+            n += self._docs.nbytes
+        else:
+            n += sum(c.nbytes for c in self._doc_cols.values())
+        arrays = [a for pair in self._term_index.values() for a in pair]
+        if self._dls is not None:
+            arrays.append(self._dls)
+        if self._doc_keys is not None:
+            arrays += self._doc_keys
+        return n + sum(_array_bytes(a) for a in arrays)
 
     def cached_postings(self, row: int, decode):
         """LRU decoded (docs, tfs) per term row, bounded by bytes."""
@@ -817,23 +849,58 @@ class SegmentReader:
             self._terms = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
         return self._terms
 
-    def _read_parquet(self, path: str) -> pa.Table:
-        from iresearch_ray.state.crypto import read_parquet_any
-
+    def _check_key(self) -> None:
         if self.crypto is None and self.meta.get("encrypted"):
             raise PermissionError(
                 f"segment {self.seg_dir} is encrypted (key id "
                 f"{self.meta['encrypted']!r}); pass IndexEncryption to the reader"
             )
-        return read_parquet_any(path, self.crypto)
+
+    def _read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
+        from iresearch_ray.state.crypto import read_parquet_any
+
+        self._check_key()
+        return read_parquet_any(path, self.crypto, columns=columns)
 
     @property
     def docs(self) -> pa.Table:
+        """The whole docs table, every stored column included."""
         if self._docs is None:
             paths = docs_paths(self.seg_dir)
             tables = [self._read_parquet(p) for p in paths]
             self._docs = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
+            self._doc_cols.clear()  # served from the full table from now on
         return self._docs
+
+    @property
+    def docs_schema(self) -> pa.Schema:
+        """Schema of the docs table, read from the parquet footer only —
+        answers "is this field stored" without reading any column."""
+        if self._docs_schema is None:
+            if self._docs is not None:
+                self._docs_schema = self._docs.schema
+            else:
+                self._check_key()
+                path = docs_paths(self.seg_dir)[0]
+                if self.crypto is not None:
+                    self._docs_schema = self.crypto.parquet_file(path).schema_arrow
+                else:
+                    self._docs_schema = pq.read_schema(path, memory_map=True)
+        return self._docs_schema
+
+    def doc_column(self, name: str) -> pa.ChunkedArray:
+        """One docs column in doc-id order, read on first use with a
+        projected parquet read (the other columns stay on disk)."""
+        if self._docs is not None:
+            return self._docs[name]
+        col = self._doc_cols.get(name)
+        if col is None:
+            tables = [self._read_parquet(p, columns=[name]) for p in docs_paths(self.seg_dir)]
+            col = self._doc_cols[name] = pa.chunked_array(
+                [c for t in tables for c in t[name].chunks],
+                type=tables[0].schema.field(name).type,
+            )
+        return col
 
     def field_terms(self, field_name: str) -> tuple[np.ndarray, np.ndarray]:
         """(sorted term strings, row indices into terms table) for a field —
@@ -857,21 +924,93 @@ class SegmentReader:
 
     @property
     def dls(self) -> np.ndarray:
-        d = getattr(self, "_dls", None)
-        if d is None:
-            d = self.docs["dl"].to_numpy()
-            self._dls = d
-        return d
+        if self._dls is None:
+            self._dls = self.doc_column("dl").to_numpy()
+        return self._dls
 
     @property
     def doc_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """(conv_id object array, turn_idx array) cached once per reader —
         the hot result-materialization path indexes these by position."""
-        k = getattr(self, "_doc_keys", None)
-        if k is None:
-            k = (
-                self.docs["conv_id"].to_pandas().to_numpy(dtype=object),
-                self.docs["turn_idx"].to_numpy(zero_copy_only=False),
+        if self._doc_keys is None:
+            self._doc_keys = (
+                self.doc_column("conv_id").to_pandas().to_numpy(dtype=object),
+                self.doc_column("turn_idx").to_numpy(zero_copy_only=False),
             )
-            self._doc_keys = k
-        return k
+        return self._doc_keys
+
+
+def _array_bytes(a: np.ndarray) -> int:
+    # an object array holds pointers: count a short str object per element
+    return a.nbytes + (a.size * 64 if a.dtype == object else 0)
+
+
+# Process-level cache of SegmentReaders shared by every Searcher (the
+# directory_reader reopen analog, SURVEY §3.2): a refresh onto a new
+# generation reuses the loaded term index, doc columns and posting caches
+# of every segment it shares with an older one.  Bounded by the summed
+# ``loaded_bytes`` of the cached readers; an evicted reader stays usable
+# by whoever still holds it.
+READER_CACHE_BYTES = 1 << 30
+
+_READERS: "collections.OrderedDict[tuple, SegmentReader]" = collections.OrderedDict()
+_READERS_LOCK = threading.Lock()
+
+
+def _disk_identity(seg_dir: str) -> tuple | None:
+    """(inode, mtime_ns, size) of meta.json and the terms table: a segment
+    rebuilt into a reused ``seg-`` name gets new files, so a new identity
+    (the size guards a freed inode reused within one mtime tick).  None
+    when the segment is missing."""
+    terms = os.path.join(seg_dir, "terms.parquet")
+    if not os.path.exists(terms):
+        terms = os.path.join(seg_dir, "terms")
+    try:
+        return tuple(
+            (st.st_ino, st.st_mtime_ns, st.st_size)
+            for st in (os.stat(os.path.join(seg_dir, "meta.json")), os.stat(terms))
+        )
+    except FileNotFoundError:
+        return None
+
+
+def open_readers(seg_dirs: list[str], crypto=None) -> list[SegmentReader]:
+    """Readers for ``seg_dirs`` from the process-level cache, opening the
+    ones not cached yet.  The key holds the key id AND the key-bytes
+    fingerprint, so a reader decrypted with one key is never handed to a
+    caller with another key (or none) under the same id.  Weights are
+    re-measured on every call (posting caches grow after insertion) and
+    the least recently used readers are dropped past READER_CACHE_BYTES."""
+    key_id = getattr(crypto, "key_id", None)
+    key_fp = crypto.key_fingerprint if crypto is not None else None
+    out = []
+    with _READERS_LOCK:
+        for d in seg_dirs:
+            d = os.path.abspath(d)
+            ident = _disk_identity(d)
+            if ident is None:
+                # uncached: fails on first read, as an uncached reader would
+                out.append(SegmentReader(d, crypto=crypto))
+                continue
+            key = (d, ident, key_id, key_fp)
+            r = _READERS.get(key)
+            if r is None:
+                for stale in [k for k in _READERS if k[0] == d and k[1] != ident]:
+                    del _READERS[stale]  # files replaced: never hit again
+                r = _READERS[key] = SegmentReader(d, crypto=crypto)
+            else:
+                _READERS.move_to_end(key)
+            out.append(r)
+        total = sum(r.loaded_bytes() for r in _READERS.values())
+        while total > READER_CACHE_BYTES and len(_READERS) > 1:
+            _k, old = _READERS.popitem(last=False)
+            total -= old.loaded_bytes()
+    return out
+
+
+def evict_readers(seg_dirs: list[str]) -> None:
+    """Drop every cached reader of ``seg_dirs`` (their files are gone)."""
+    gone = {os.path.abspath(d) for d in seg_dirs}
+    with _READERS_LOCK:
+        for k in [k for k in _READERS if k[0] in gone]:
+            del _READERS[k]

@@ -150,8 +150,12 @@ def completed_segments(index_dir: str) -> dict[str, dict]:
 def gc_segments(index_dir: str, manifest: dict) -> list[str]:
     """Remove segment dirs not referenced by the current generation
     (post-consolidation garbage collection; grace handling is the caller's
-    concern — SURVEY §3.3)."""
+    concern — SURVEY §3.3), and evict their readers from the process-level
+    reader cache.  A Searcher opened before the gc keeps the readers it
+    holds, but reads of columns it has not loaded yet fail."""
     import shutil
+
+    from iresearch_ray.stages.segment import evict_readers
 
     live = {s["name"] for s in manifest["segments"]}
     removed = []
@@ -162,6 +166,7 @@ def gc_segments(index_dir: str, manifest: dict) -> list[str]:
         if name not in live:
             shutil.rmtree(os.path.join(seg_root, name), ignore_errors=True)
             removed.append(name)
+    evict_readers([os.path.join(seg_root, name) for name in removed])
     # stale per-generation stats caches go with their generations
     # (not counted in the returned segment list)
     gen = manifest.get("generation")

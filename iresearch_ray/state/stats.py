@@ -436,8 +436,12 @@ def build_global_stats(
     gen = manifest["generation"]
     if mem_limit is None:  # env read per call so tests can flip modes
         mem_limit = int(os.environ.get("IRE_STATS_MEM", DEFAULT_MEM_LIMIT))
-    key = (os.path.abspath(index_dir), gen, mem_limit,
-           getattr(crypto, "key_id", None))
+    # committed_at tells apart two indexes built into one dir (generation
+    # numbers restart after an rmtree); the key fingerprint keeps stats
+    # decrypted with one key from a caller holding another under the same id
+    key = (os.path.abspath(index_dir), gen, manifest.get("committed_at"), mem_limit,
+           getattr(crypto, "key_id", None),
+           crypto.key_fingerprint if crypto is not None else None)
     hit = _cache.get(key)
     if hit is not None:
         _cache.move_to_end(key)

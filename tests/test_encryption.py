@@ -75,6 +75,35 @@ def test_encrypted_read_requires_key_and_matches_plain(ray_session, tmp_path):
     assert len(rr) == 5
 
 
+def test_reader_cache_isolates_keys(ray_session, tmp_path):
+    """A reader decrypted with the right key is cached; a wrong key under
+    the same key id, and no key at all, must still fail instead of being
+    handed that reader."""
+    from iresearch_ray import IndexEncryption, Searcher
+    from iresearch_ray.query import filters as F
+    from iresearch_ray.stages.segment import open_readers
+
+    key = IndexEncryption(KEY)
+    idx = _build(tmp_path, key)
+    s = Searcher(idx, crypto=key)
+    assert len(s.search_local(F.Term("text", "agent"), k=5)) == 5
+    cached = s._local_readers()
+
+    wrong = IndexEncryption(b"x" * 32)
+    assert wrong.key_id == key.key_id
+    with pytest.raises((ValueError, OSError)):
+        Searcher(idx, crypto=wrong).search_local(F.Term("text", "agent"), k=5)
+    with pytest.raises((PermissionError, OSError)):
+        Searcher(idx).search_local(F.Term("text", "agent"), k=5)
+    # the same holds one layer down, past the Searcher's own stats load
+    for crypto, err in ((wrong, (ValueError, OSError)), (None, (PermissionError, OSError))):
+        readers = open_readers(s.seg_dirs, crypto)
+        assert not {id(r) for r in readers} & {id(r) for r in cached}
+        with pytest.raises(err):
+            readers[0].doc_keys
+    assert open_readers(s.seg_dirs, IndexEncryption(KEY)) == cached
+
+
 def test_encrypted_consolidation_roundtrip(ray_session, tmp_path):
     from iresearch_ray import IndexEncryption, Searcher
     from iresearch_ray.pipelines.consolidate import consolidate

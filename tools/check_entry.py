@@ -4,13 +4,15 @@ row-count + schema + order-insensitive values (column-name-sorted)."""
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, not whichever one is on the path
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SF = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 
