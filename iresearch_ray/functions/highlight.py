@@ -109,26 +109,11 @@ def _index_doc_spans(reader, row: int, doc_id: int) -> list[tuple[int, int]]:
     return list(zip(starts[occ_lo:occ_hi].tolist(), ends[occ_lo:occ_hi].tolist()))
 
 
-def _key_view(r):
-    """Cached (perm, sorted conv, sorted turn) lexsort view of a reader's
-    doc keys — concat-merged segments are NOT globally key-sorted, so key
-    lookup needs the permutation (built once per reader)."""
-    import numpy as np
-
-    kv = getattr(r, "_hl_key_view", None)
-    if kv is None:
-        conv_all, turn_all = r.doc_keys
-        perm = np.lexsort((turn_all, conv_all))
-        kv = (perm, conv_all[perm], turn_all[perm])
-        r._hl_key_view = kv
-    return kv
-
-
 def _locate(r, conv_id, turn_idx) -> int | None:
     """Row position of (conv_id, turn_idx) in the reader's docs table."""
     import numpy as np
 
-    perm, sc, st = _key_view(r)
+    perm, sc, st = r.key_view
     lo = int(np.searchsorted(sc, conv_id, side="left"))
     hi = int(np.searchsorted(sc, conv_id, side="right"))
     if lo == hi:

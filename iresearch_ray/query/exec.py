@@ -227,20 +227,16 @@ def _eval_term_union_bulk(
 def _geo_column(reader: SegmentReader, field: str):
     """Parsed (lat, lon) float64 arrays of a stored geopoint column,
     memoized per reader (parse once per segment per serving actor)."""
-    memo = getattr(reader, "_geo_cols", None)
-    if memo is None:
-        memo = reader._geo_cols = {}
-    hit = memo.get(field)
-    if hit is None:
-        from iresearch_ray.functions.geo import parse_latlon
+    from iresearch_ray.functions.geo import parse_latlon
 
-        if field not in reader.docs_schema.names:
-            raise ValueError(
-                f"geo field {field!r} has no stored column (build with "
-                f"IndexConfig(geo_fields=({field!r},)))"
-            )
-        hit = memo[field] = parse_latlon(reader.doc_column(field).to_pylist())
-    return hit
+    if field not in reader.docs_schema.names:
+        raise ValueError(
+            f"geo field {field!r} has no stored column (build with "
+            f"IndexConfig(geo_fields=({field!r},)))"
+        )
+    return reader.memo(
+        ("geo", field), lambda: parse_latlon(reader.doc_column(field).to_pylist())
+    )
 
 
 def eval_node(

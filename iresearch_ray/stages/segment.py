@@ -34,6 +34,7 @@ import collections
 import itertools
 import json
 import os
+import sys
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -723,9 +724,15 @@ class SegmentReader:
     use and stays cached: the terms table, each docs column on its own
     (``doc_column`` reads one column, so ``dl``/``conv_id``/``turn_idx``
     never pull the stored text in), the docs schema from the parquet
-    footer alone (``docs_schema``), the per-field term index and decoded
-    postings.  The full ``docs`` table is read only by callers that need
-    every column (merges, the build's text check).
+    footer alone (``docs_schema``), the structures derived from them
+    (``memo``: per-field term index, doc lengths, doc keys, ...) and
+    decoded postings.  ``docs`` assembles the whole table from the same
+    column cache for callers that need every column (merges, the build's
+    text check).
+
+    The first docs access opens one handle per docs parquet file and keeps
+    it, so columns first read after a gc unlinked the segment dir still
+    load through the open file (the refcounted-file analog).
 
     A segment's files never change, so one reader can serve every
     generation that lists the segment: ``Searcher`` takes its readers
@@ -748,33 +755,37 @@ class SegmentReader:
         self.crypto = crypto
         self._cache_budget = cache_bytes if cache_bytes is not None else self.POSTING_CACHE_BYTES
         self._terms: pa.Table | None = None
-        self._docs: pa.Table | None = None
-        self._doc_cols: dict[str, pa.ChunkedArray] = {}
+        self._docs_files: list[pq.ParquetFile] | None = None
         self._docs_schema: pa.Schema | None = None
+        self._doc_cols: dict[str, pa.ChunkedArray] = {}
+        self._docs_lock = threading.RLock()
         self._meta: dict | None = None
-        self._term_index: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._dls: np.ndarray | None = None
-        self._doc_keys: tuple[np.ndarray, np.ndarray] | None = None
+        self._memos: dict = {}
+        self._memo_bytes = 0
         self._posting_cache: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
         self._posting_cache_bytes = 0
 
     def loaded_bytes(self) -> int:
         """Approximate memory held by what this reader has loaded so far:
-        the terms table, docs columns, term-index and doc-key arrays and
-        the posting cache.  Grows as queries touch more of the segment."""
-        n = self._posting_cache_bytes
+        the terms table, docs columns, memos and the posting cache.  Grows
+        as queries touch more of the segment."""
+        n = self._posting_cache_bytes + self._memo_bytes
+        n += sum(c.nbytes for c in self._doc_cols.values())
         if self._terms is not None:
             n += self._terms.nbytes
-        if self._docs is not None:
-            n += self._docs.nbytes
-        else:
-            n += sum(c.nbytes for c in self._doc_cols.values())
-        arrays = [a for pair in self._term_index.values() for a in pair]
-        if self._dls is not None:
-            arrays.append(self._dls)
-        if self._doc_keys is not None:
-            arrays += self._doc_keys
-        return n + sum(_array_bytes(a) for a in arrays)
+        return n
+
+    def memo(self, key, build):
+        """Per-reader memo of a structure derived from the segment:
+        ``build()`` runs on the first call per ``key`` and returns an array
+        or a tuple of arrays, whose bytes count in ``loaded_bytes``."""
+        hit = self._memos.get(key)
+        if hit is None:
+            hit = self._memos[key] = build()
+            self._memo_bytes += sum(
+                _array_bytes(a) for a in (hit if isinstance(hit, tuple) else (hit,))
+            )
+        return hit
 
     def cached_postings(self, row: int, decode):
         """LRU decoded (docs, tfs) per term row, bounded by bytes."""
@@ -856,64 +867,73 @@ class SegmentReader:
                 f"{self.meta['encrypted']!r}); pass IndexEncryption to the reader"
             )
 
-    def _read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
+    def _read_parquet(self, path: str) -> pa.Table:
         from iresearch_ray.state.crypto import read_parquet_any
 
         self._check_key()
-        return read_parquet_any(path, self.crypto, columns=columns)
+        return read_parquet_any(path, self.crypto)
 
-    @property
-    def docs(self) -> pa.Table:
-        """The whole docs table, every stored column included."""
-        if self._docs is None:
-            paths = docs_paths(self.seg_dir)
-            tables = [self._read_parquet(p) for p in paths]
-            self._docs = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-            self._doc_cols.clear()  # served from the full table from now on
-        return self._docs
+    def _docs_handles(self) -> list[pq.ParquetFile]:
+        """One open handle per docs parquet file, opened on first docs
+        access and kept for the reader's life."""
+        with self._docs_lock:
+            if self._docs_files is None:
+                from iresearch_ray.state.crypto import parquet_file_any
+
+                self._check_key()
+                files = [parquet_file_any(p, self.crypto) for p in docs_paths(self.seg_dir)]
+                self._docs_schema = files[0].schema_arrow
+                self._docs_files = files
+            return self._docs_files
 
     @property
     def docs_schema(self) -> pa.Schema:
         """Schema of the docs table, read from the parquet footer only —
         answers "is this field stored" without reading any column."""
         if self._docs_schema is None:
-            if self._docs is not None:
-                self._docs_schema = self._docs.schema
-            else:
-                self._check_key()
-                path = docs_paths(self.seg_dir)[0]
-                if self.crypto is not None:
-                    self._docs_schema = self.crypto.parquet_file(path).schema_arrow
-                else:
-                    self._docs_schema = pq.read_schema(path, memory_map=True)
+            self._docs_handles()
         return self._docs_schema
 
+    def _load_doc_columns(self, names: list[str]) -> None:
+        """Read the ``names`` not loaded yet, in one projected read per
+        docs file."""
+        with self._docs_lock:
+            need = [n for n in names if n not in self._doc_cols]
+            if not need:
+                return
+            tables = [f.read(columns=need) for f in self._docs_handles()]
+            for n in need:
+                self._doc_cols[n] = pa.chunked_array(
+                    [c for t in tables for c in t[n].chunks],
+                    type=tables[0].schema.field(n).type,
+                )
+
     def doc_column(self, name: str) -> pa.ChunkedArray:
-        """One docs column in doc-id order, read on first use with a
-        projected parquet read (the other columns stay on disk)."""
-        if self._docs is not None:
-            return self._docs[name]
+        """One docs column in doc-id order, read on first use (the other
+        columns stay on disk)."""
         col = self._doc_cols.get(name)
         if col is None:
-            tables = [self._read_parquet(p, columns=[name]) for p in docs_paths(self.seg_dir)]
-            col = self._doc_cols[name] = pa.chunked_array(
-                [c for t in tables for c in t[name].chunks],
-                type=tables[0].schema.field(name).type,
-            )
+            self._load_doc_columns([name])
+            col = self._doc_cols[name]
         return col
+
+    @property
+    def docs(self) -> pa.Table:
+        """The whole docs table, every stored column included."""
+        schema = self.docs_schema
+        self._load_doc_columns(schema.names)
+        return pa.table([self._doc_cols[n] for n in schema.names], schema=schema)
 
     def field_terms(self, field_name: str) -> tuple[np.ndarray, np.ndarray]:
         """(sorted term strings, row indices into terms table) for a field —
         the term-dictionary seek structure (FST analog is binary search over
         the term-sorted column, SURVEY §2.4 by_term)."""
-        hit = self._term_index.get(field_name)
-        if hit is None:
-            fields = self.terms["field"].to_pandas().to_numpy(dtype=object)
-            idx = np.flatnonzero(fields == field_name)
-            terms = self.terms["term"].to_pandas().to_numpy(dtype=object)[idx]
-            hit = (terms, idx)
-            self._term_index[field_name] = hit
-        return hit
+        return self.memo(("field_terms", field_name), lambda: self._field_terms(field_name))
+
+    def _field_terms(self, field_name: str) -> tuple[np.ndarray, np.ndarray]:
+        fields = self.terms["field"].to_pandas().to_numpy(dtype=object)
+        idx = np.flatnonzero(fields == field_name)
+        return self.terms["term"].to_pandas().to_numpy(dtype=object)[idx], idx
 
     def term_row(self, field_name: str, term: str) -> int | None:
         terms, idx = self.field_terms(field_name)
@@ -924,25 +944,41 @@ class SegmentReader:
 
     @property
     def dls(self) -> np.ndarray:
-        if self._dls is None:
-            self._dls = self.doc_column("dl").to_numpy()
-        return self._dls
+        return self.memo("dls", lambda: self.doc_column("dl").to_numpy())
 
     @property
     def doc_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """(conv_id object array, turn_idx array) cached once per reader —
         the hot result-materialization path indexes these by position."""
-        if self._doc_keys is None:
-            self._doc_keys = (
-                self.doc_column("conv_id").to_pandas().to_numpy(dtype=object),
-                self.doc_column("turn_idx").to_numpy(zero_copy_only=False),
-            )
-        return self._doc_keys
+        return self.memo("doc_keys", lambda: (
+            self.doc_column("conv_id").to_pandas().to_numpy(dtype=object),
+            self.doc_column("turn_idx").to_numpy(zero_copy_only=False),
+        ))
+
+    @property
+    def key_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(perm, sorted conv_id, sorted turn_idx): the lexsort view of the
+        doc keys for key -> doc lookups.  Concat-merged segments are not
+        globally key-sorted, so the lookup needs the permutation."""
+        def build():
+            conv_all, turn_all = self.doc_keys
+            perm = np.lexsort((turn_all, conv_all))
+            return perm, conv_all[perm], turn_all[perm]
+
+        return self.memo("key_view", build)
 
 
 def _array_bytes(a: np.ndarray) -> int:
-    # an object array holds pointers: count a short str object per element
-    return a.nbytes + (a.size * 64 if a.dtype == object else 0)
+    """Bytes held by an array.  An object array holds pointers to Python
+    objects; their size is an estimate: the mean ``sys.getsizeof`` of up
+    to 64 evenly spaced elements, times the length.  Objects shared with
+    another array (the key view's sorted copy, deduplicated conv ids) are
+    counted again, so the estimate errs high."""
+    n = a.nbytes
+    if a.dtype == object and a.size:
+        sample = a[:: max(1, a.size // 64)][:64]
+        n += a.size * sum(map(sys.getsizeof, sample)) // sample.size
+    return n
 
 
 # Process-level cache of SegmentReaders shared by every Searcher (the

@@ -38,7 +38,7 @@ import os
 
 import pyarrow.parquet as pq
 
-__all__ = ["IndexEncryption", "read_parquet_any"]
+__all__ = ["IndexEncryption", "parquet_file_any", "read_parquet_any"]
 
 
 def _require_encryption_module():
@@ -176,6 +176,15 @@ class IndexEncryption:
     def parquet_file(self, path: str) -> "pq.ParquetFile":
         """ParquetFile handle with decryption (row-group range reads)."""
         return pq.ParquetFile(path, decryption_properties=self.decryption_properties())
+
+
+def parquet_file_any(path: str, crypto: IndexEncryption | None) -> "pq.ParquetFile":
+    """Open handle on a segment parquet file, decrypting when ``crypto`` is
+    given, memory-mapped otherwise.  The handle keeps the file open, so
+    reads through it still succeed after the file is unlinked."""
+    if crypto is not None:
+        return crypto.parquet_file(path)
+    return pq.ParquetFile(path, memory_map=True)
 
 
 def read_parquet_any(path: str, crypto: IndexEncryption | None, columns=None):

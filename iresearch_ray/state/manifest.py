@@ -152,7 +152,7 @@ def gc_segments(index_dir: str, manifest: dict) -> list[str]:
     (post-consolidation garbage collection; grace handling is the caller's
     concern — SURVEY §3.3), and evict their readers from the process-level
     reader cache.  A Searcher opened before the gc keeps the readers it
-    holds, but reads of columns it has not loaded yet fail."""
+    holds; their open files still serve reads after the unlink."""
     import shutil
 
     from iresearch_ray.stages.segment import evict_readers

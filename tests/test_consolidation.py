@@ -288,9 +288,9 @@ def test_searcher_snapshot_survives_gc(tmp_path):
     """Point-in-time isolation (the directory_reader refcount analog): a
     constructed Searcher holds its generation's files via open memory maps,
     so consolidate+gc unlinking those segment dirs must not break it — for
-    terms it already served (warm caches) NOR for terms it never touched
-    (cold file reads through retained maps).  A fresh Searcher sees the new
-    generation."""
+    terms it already served (warm caches) NOR for terms or docs columns it
+    never touched (cold file reads through retained maps).  A fresh
+    Searcher sees the new generation."""
     d = str(tmp_path / "idx")
     build_index_local(gen_transcripts(80), d, num_partitions=5)
     g0 = load_manifest(d)["generation"]
@@ -305,8 +305,17 @@ def test_searcher_snapshot_survives_gc(tmp_path):
     assert warm.reset_index(drop=True).equals(again.reset_index(drop=True))
     # cold path: a term the old snapshot never served still resolves
     cold_old = old.search_local(F.Term("text", "error"), k=5)
-    cold_new = Searcher(d).search_local(F.Term("text", "error"), k=5)
+    new = Searcher(d)
+    cold_new = new.search_local(F.Term("text", "error"), k=5)
     assert cold_old.reset_index(drop=True).equals(cold_new.reset_index(drop=True))
+    # docs columns the old snapshot never loaded (stored text, a stored
+    # keyword) still read through the files it holds open
+    for q in (F.Term("text", "agent"), F.And((F.Term("text", "error"), F.Exists("tool")))):
+        old_hl = old.highlights(q, k=5, source="stored")
+        assert len(old_hl)
+        assert old_hl.reset_index(drop=True).equals(
+            new.highlights(q, k=5, source="stored").reset_index(drop=True)
+        )
 
 
 def test_snapshot_index_isolated_copy(tmp_path):

@@ -146,9 +146,9 @@ def test_cache_weight_stays_under_bound(tmp_path, monkeypatch):
 
 
 def test_queries_read_only_key_columns(tmp_path):
-    """search_local, count and a tombstone-masked query never load the full
-    docs table or the stored text; stored highlights read the text column
-    alone and return the spans of the source text."""
+    """search_local, count and a tombstone-masked query read only the key
+    and length docs columns, never the stored text; stored highlights add
+    the text column alone and return the spans of the source text."""
     from iresearch_ray.functions.highlight import highlight_text, plan_terms
 
     tbl = gen_transcripts(80)
@@ -167,7 +167,6 @@ def test_queries_read_only_key_columns(tmp_path):
     readers = s2._local_readers()
     assert readers == s._local_readers()
     for r in readers:
-        assert r._docs is None
         assert "text" not in r._doc_cols
         assert set(r._doc_cols) <= {"conv_id", "turn_idx", "dl"}
 
@@ -179,4 +178,4 @@ def test_queries_read_only_key_columns(tmp_path):
     for c, t, txt, spans in zip(hl["conv_id"], hl["turn_idx"], hl["text"], hl["spans"]):
         assert txt == text[(c, int(t))]
         assert spans == highlight_text(txt, terms)
-    assert all(r._docs is None for r in readers)
+    assert all(set(r._doc_cols) <= {"conv_id", "turn_idx", "dl", "text"} for r in readers)
