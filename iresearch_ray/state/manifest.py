@@ -151,8 +151,9 @@ def gc_segments(index_dir: str, manifest: dict) -> list[str]:
     """Remove segment dirs not referenced by the current generation
     (post-consolidation garbage collection; grace handling is the caller's
     concern — SURVEY §3.3), and evict their readers from the process-level
-    reader cache.  A Searcher opened before the gc keeps the readers it
-    holds; their open files still serve reads after the unlink."""
+    reader cache.  A Searcher that ran a query before the gc keeps the
+    readers it holds; their docs files stay open, so it still reads docs
+    columns it had not loaded after the unlink."""
     import shutil
 
     from iresearch_ray.stages.segment import evict_readers
