@@ -109,19 +109,15 @@ def _index_doc_spans(reader, row: int, doc_id: int) -> list[tuple[int, int]]:
     return list(zip(starts[occ_lo:occ_hi].tolist(), ends[occ_lo:occ_hi].tolist()))
 
 
-def _locate(r, conv_id, turn_idx) -> int | None:
-    """Row position of (conv_id, turn_idx) in the reader's docs table."""
+def _locate(r, conv_id, turn_idx) -> int:
+    """Row position of (conv_id, turn_idx), a key ``r`` holds, in its docs
+    table."""
     import numpy as np
 
     perm, sc, st = r.key_view
     lo = int(np.searchsorted(sc, conv_id, side="left"))
     hi = int(np.searchsorted(sc, conv_id, side="right"))
-    if lo == hi:
-        return None
-    j = lo + int(np.searchsorted(st[lo:hi], turn_idx))
-    if j < hi and st[j] == turn_idx:
-        return int(perm[j])
-    return None
+    return int(perm[lo + int(np.searchsorted(st[lo:hi], turn_idx))])
 
 
 def spans_for_hits(
@@ -130,32 +126,20 @@ def spans_for_hits(
     terms: set[str] | list[str],
     field: str,
     source: str = "stored",
-) -> tuple[list, list, list]:
-    """(texts, spans, found) for hit rows that may live in ``reader`` — the
-    per-shard kernel shared by the driver-local and pooled highlight paths.
-    ``hits`` is any object with conv_id/turn_idx columns (pa.Table or
-    DataFrame); rows whose key is absent from this reader get found=False."""
+) -> tuple[list, list]:
+    """(texts, spans) for hit rows held by ``reader`` — the per-segment
+    kernel of ``Shard.highlight``.  ``hits`` is a pa.Table with
+    conv_id/turn_idx columns."""
     term_rows = (
         {t: reader.term_row(field, t) for t in sorted(terms)}
         if source == "index"
         else None
     )
-    conv = hits["conv_id"]
-    turn = hits["turn_idx"]
-    conv = conv.to_pylist() if hasattr(conv, "to_pylist") else list(conv)
-    turn = turn.to_pylist() if hasattr(turn, "to_pylist") else list(turn)
     texts: list[str | None] = []
     spans: list[list[tuple[int, int]]] = []
-    found: list[bool] = []
     stored = field in reader.docs_schema.names
-    for c, t in zip(conv, turn):
+    for c, t in zip(hits["conv_id"].to_pylist(), hits["turn_idx"].to_pylist()):
         pos = _locate(reader, c, t)
-        if pos is None:
-            texts.append(None)
-            spans.append([])
-            found.append(False)
-            continue
-        found.append(True)
         text = reader.doc_column(field)[pos].as_py() if stored else None
         texts.append(text)
         if source == "index":
@@ -166,7 +150,7 @@ def spans_for_hits(
             spans.append(sorted(doc_spans))
         else:
             spans.append(highlight_text(text, set(terms)))
-    return texts, spans, found
+    return texts, spans
 
 
 def highlights(
@@ -184,41 +168,4 @@ def highlights(
     ``source="stored"`` re-tokenizes the stored text column (needs
     store_text=True); ``source="index"`` reads the indexed offset stream
     (needs offsets=True) — span-identical outputs (see module docstring)."""
-    import numpy as np
-
-    readers = searcher._local_readers()
-    if source == "index":
-        if readers and not readers[0].meta.get("config", {}).get("offsets"):
-            raise ValueError(
-                "highlights(source='index') needs the index built with "
-                "IndexConfig(offsets=True)"
-            )
-    elif readers and any(field not in r.docs_schema.names for r in readers):
-        raise ValueError(
-            f"highlights() needs the index built with store_text=True "
-            f"(stored column {field!r} missing)"
-        )
-    plan = searcher.prepare(flt, scorer).plan
-    terms = sorted(plan_terms(plan["root"], field))
-    hits = searcher.search_local(flt, k=k, scorer=scorer)
-    texts: list[str | None] = [None] * len(hits)
-    spans: list[list[tuple[int, int]]] = [[] for _ in range(len(hits))]
-    # per reader: resolve spans for the hits that live in it (one shared
-    # kernel with the pooled per-shard path, functions/highlight.spans_for_hits)
-    pending = list(range(len(hits)))
-    for r in readers:
-        if not pending:
-            break
-        sub = hits.iloc[pending]
-        t_r, s_r, ok = spans_for_hits(r, sub, terms, field, source)
-        still = []
-        for idx, t, sp, f in zip(pending, t_r, s_r, ok):
-            if f:
-                texts[idx], spans[idx] = t, sp
-            else:
-                still.append(idx)
-        pending = still
-    out = hits.copy()
-    out["text"] = texts
-    out["spans"] = spans
-    return out
+    return searcher.highlights(flt, k=k, scorer=scorer, field=field, source=source)

@@ -52,12 +52,12 @@ def term_payloads(searcher, field: str, term: str) -> pd.DataFrame:
     """(conv_id, turn_idx, payloads) for every live doc containing ``term``
     — payloads in position order, as a list of bytes per row."""
     out_conv, out_turn, out_pays = [], [], []
-    for i, r in enumerate(searcher._local_readers()):
+    shard = searcher._shard()
+    for r, deleted in zip(shard.readers, shard.deleted):
         hit = _reader_term_payloads(r, field, term)
         if hit is None:
             continue
         docs, tfs, pays = hit
-        deleted = searcher._deleted_for(i, r)
         conv_all, turn_all = r.doc_keys
         ends = np.cumsum(tfs)
         starts = ends - tfs
@@ -109,43 +109,27 @@ def reader_payload_topk(reader, field: str, term: str, k: int, deleted=None) -> 
     return df.head(k).reset_index(drop=True)
 
 
-def payload_sum_topk(searcher, field: str, term: str, k: int = 10) -> pd.DataFrame:
-    """Top-k (conv_id, turn_idx, score) where score = Σ float(payload) over
-    the term's occurrences in the doc; ties broken by (conv_id, turn_idx)
-    ascending — the same total order the BM25 path pins."""
-    parts = [
-        reader_payload_topk(r, field, term, k, deleted=searcher._deleted_for(i, r))
-        for i, r in enumerate(searcher._local_readers())
-    ]
-    rows = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
-        columns=["conv_id", "turn_idx", "score"]
-    )
+def _merge(parts: list[pd.DataFrame], k: int) -> pd.DataFrame:
+    rows = pd.concat(parts, ignore_index=True)
     rows = rows.sort_values(
         ["score", "conv_id", "turn_idx"], ascending=[False, True, True]
     )
     return rows.head(k).reset_index(drop=True)
+
+
+def payload_sum_topk(searcher, field: str, term: str, k: int = 10) -> pd.DataFrame:
+    """Top-k (conv_id, turn_idx, score) where score = Σ float(payload) over
+    the term's occurrences in the doc; ties broken by (conv_id, turn_idx)
+    ascending — the same total order the BM25 path pins."""
+    return _merge(searcher._run("payload_topk", field, term, k), k)
 
 
 def payload_sum_topk_pooled(
     searcher, field: str, term: str, k: int = 10, num_actors: int = 8
 ) -> pd.DataFrame:
     """Distributed payload ranking through the cached QueryPool: each actor
-    ranks its shard's docs, the driver merges k survivors per actor —
+    ranks its shard's docs, the driver merges k survivors per segment —
     segment payload streams never leave the pool (the full-scale path;
     identical results to payload_sum_topk)."""
-    import ray
-
-    from iresearch_ray.pipelines.search import QueryPool
-
-    if searcher._pool is None:
-        searcher._pool = QueryPool(
-            searcher.index_dir, num_actors=num_actors, searcher=searcher
-        )
-    parts = ray.get(
-        [a.payload_topk.remote(field, term, k) for a in searcher._pool.actors]
-    )
-    rows = pd.concat(parts, ignore_index=True)
-    rows = rows.sort_values(
-        ["score", "conv_id", "turn_idx"], ascending=[False, True, True]
-    )
-    return rows.head(k).reset_index(drop=True)
+    parts = searcher._run("payload_topk", field, term, k, pooled=True, num_actors=num_actors)
+    return _merge(parts, k)

@@ -384,7 +384,8 @@ def verify_text_equality(index_dir: str, source, distributed: bool | None = None
     vectorized inside each group, only per-shard count rows reaching the
     driver — so the check itself survives 100 TB (the round-2 version
     built a whole-corpus Python dict on the driver).  The driver path
-    remains for pa.Table inputs / no-Ray contexts; both raise the same
+    remains for pa.Table inputs, no-Ray contexts and encrypted indexes
+    (``crypto``); both raise the same
     errors in the same priority order."""
     from iresearch_ray.stages.segment import SegmentReader
     from iresearch_ray.state.manifest import load_manifest, segment_dirs
@@ -403,7 +404,9 @@ def verify_text_equality(index_dir: str, source, distributed: bool | None = None
             distributed = ray.is_initialized() and not isinstance(source, pa.Table)
         except Exception:
             distributed = False
-    if distributed:
+    # encrypted indexes always take the driver path: ray.data has no
+    # dataset-level parquet decryption (as in build_global_stats)
+    if distributed and crypto is None:
         return _verify_text_equality_distributed(index_dir, source, cfg, manifest)
 
     if isinstance(source, pa.Table):

@@ -1328,27 +1328,28 @@ def _near_dedup_distributed(ds, labels, text_col: str, id_col: str):
     )
 
 
+_NEAR_DEDUP_DRIVER_PAIRS = 2_000_000  # verified pairs clustered on the driver
+
+
 def near_dedup(
     ds,
     threshold: float = 0.5,
     cfg: MinHashCfg | None = None,
     text_col: str = "text",
     id_col: str = "doc_id",
-    driver_pair_limit: int = 2_000_000,
-    distributed: bool | None = None,
 ):
     """Near-duplicate removal keeping the BEST doc per cluster: MinHash+LSH
     verified pairs → connected components → per cluster keep the highest
     quality_score (ties → lowest id); singletons survive untouched.
     Returns the survivor Dataset (original columns).
 
-    Pair sets up to ``driver_pair_limit`` cluster on the driver (union-find
-    over an already-thresholded, usually tiny set).  Above it — the
-    dup-DOMINATED regime where pairs ~ O(N) and the driver heap assumption
-    breaks — clustering switches to ``cluster_pairs_distributed`` (iterated
-    min-label propagation) and survivor election/removal to the co-located
-    anti-join of ``_near_dedup_distributed``; ``distributed=True/False``
-    forces a path.  Both paths produce identical survivors (same
+    Pair sets up to ``_NEAR_DEDUP_DRIVER_PAIRS`` cluster on the driver
+    (union-find over an already-thresholded, usually tiny set).  Above it —
+    the dup-DOMINATED regime where pairs ~ O(N) and the driver heap
+    assumption breaks — clustering switches to ``cluster_pairs_distributed``
+    (iterated min-label propagation) and survivor election/removal to the
+    co-located anti-join of ``_near_dedup_distributed``.  Both paths
+    produce identical survivors (same
     component-min root convention and (quality desc, id asc) election;
     tests assert set equality)."""
     import ray
@@ -1356,9 +1357,7 @@ def near_dedup(
     pairs = minhash_lsh_pairs(
         ds, cfg=cfg, threshold=threshold, text_col=text_col, id_col=id_col
     ).materialize()
-    if distributed is None:
-        distributed = pairs.count() > driver_pair_limit
-    if distributed:
+    if pairs.count() > _NEAR_DEDUP_DRIVER_PAIRS:
         labels = cluster_pairs_distributed(pairs)
         return _near_dedup_distributed(ds, labels, text_col, id_col)
 

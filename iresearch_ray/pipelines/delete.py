@@ -135,8 +135,8 @@ def delete_by_filter(index_dir: str, flt, crypto=None) -> dict:
     s = Searcher(index_dir, crypto=crypto)
     plan = s.prepare(flt).plan
     keys: list[tuple[str, int]] = []
-    for i, r in enumerate(s._local_readers()):
-        dmask = s._deleted_for(i, r)
+    shard = s._shard()
+    for r, dmask in zip(shard.readers, shard.deleted):
         docs, _scores = eval_node(r, plan["root"], plan["scorer"], dmask)
         # eval_node only honors the mask for Nested — drop already-tombstoned
         # matches here so tombstone files stop accumulating dead keys

@@ -1,10 +1,12 @@
 """Query pipeline — SURVEY.md §3.2 (entry point 2).
 
 driver: manifest snapshot → global stats (cached per generation) → prepare
-each query (expansion + idf weights) → fan (query × segment) work units out
-as Ray tasks (``search_ray``) or to a persistent QueryPool (``search_pooled``)
-→ driver k-way merge of per-segment top-k under the pinned total order
-(score desc, conv_id asc, turn_idx asc — SURVEY §2.6).
+each query (expansion + idf weights) → one ``Shard`` op per placement
+(``stages/searcher.py``): the in-process shard over every segment, each
+actor of a persistent QueryPool (``search_pooled``), or one Ray task per
+segment (``search_ray``) → driver k-way merge of per-segment top-k under
+the pinned total order (score desc, conv_id asc, turn_idx asc — SURVEY
+§2.6).
 
 Because the build partitions by hash(conv_id), a document exists in exactly
 one segment, so the merge is a pure k-way top-k selection (no score
@@ -19,9 +21,14 @@ import json
 import pandas as pd
 import pyarrow as pa
 
-from iresearch_ray.query.exec import segment_topk
+from iresearch_ray.pipelines.delete import _entries
 from iresearch_ray.query.filters import Filter, Prepared, ScorerCfg, prepare
-from iresearch_ray.stages.searcher import RESULT_SCHEMA, search_batch_task
+from iresearch_ray.stages.searcher import (
+    RESULT_SCHEMA,
+    Shard,
+    deleted_masks,
+    search_batch_task,
+)
 from iresearch_ray.stages.segment import IndexConfig, SegmentReader, open_readers
 from iresearch_ray.state.manifest import load_manifest, segment_dirs
 from iresearch_ray.state.stats import build_global_stats
@@ -50,7 +57,11 @@ class Searcher:
     segments are immutable, so a Searcher on a new generation reuses the
     loaded readers of every segment it shares with an older one and reads
     only the new segments.  Tombstone masks depend on the generation and
-    stay per Searcher."""
+    stay per Searcher.
+
+    Every op prepares plans here, runs one ``Shard`` op per placement —
+    the in-process shard over every segment, or each actor of the cached
+    QueryPool — and merges the per-shard rows here."""
 
     def __init__(self, index_dir: str, crypto=None):
         self.index_dir = index_dir
@@ -62,30 +73,44 @@ class Searcher:
         self.cfg = IndexConfig.from_json(manifest["config"])
         self.stats = build_global_stats(index_dir, manifest, crypto=crypto)
         self.seg_dirs = segment_dirs(index_dir, manifest)
-        self._readers: list[SegmentReader] | None = None
-        self._tomb_keys = None  # lazy; most indexes have no deletes
-        self._masks: dict[int, object] = {}
+        # normalized entries: legacy string tombstones carry implicit global
+        # scope, which a raw copy shipped to a pool or task would lose
+        self.tombstones = _entries(manifest)
+        self._local: Shard | None = None
         self._pool: "QueryPool | None" = None
-
-    def _deleted_for(self, i: int, reader: SegmentReader):
-        if i not in self._masks:
-            from iresearch_ray.pipelines.delete import segment_deleted_mask
-
-            self._masks[i] = segment_deleted_mask(
-                self.index_dir, self.manifest, self.seg_dirs[i], reader
-            )
-        return self._masks[i]
 
     # -- prepare ----------------------------------------------------------
     def prepare(self, flt: Filter, scorer: ScorerCfg | None = None) -> Prepared:
         return prepare(flt, self.stats, scorer)
 
-    # -- local (in-process) execution: tests, tiny indexes ----------------
-    def _local_readers(self) -> list[SegmentReader]:
-        if self._readers is None:
-            self._readers = open_readers(self.seg_dirs, self.crypto)
-        return self._readers
+    def _plans(self, queries: dict[str, Filter], scorer: ScorerCfg | None) -> dict[str, dict]:
+        return {qid: self.prepare(f, scorer).plan for qid, f in queries.items()}
 
+    # -- placements: one Shard op, in-process or on every pool actor -------
+    def _shard(self) -> Shard:
+        """The in-process shard over every segment of this generation."""
+        if self._local is None:
+            readers = open_readers(self.seg_dirs, self.crypto)
+            self._local = Shard(readers, deleted_masks(self.index_dir, self.tombstones, readers))
+        return self._local
+
+    def _submit(self, op: str, *args, num_actors: int = 8) -> list:
+        """Refs of ``op`` on every actor of the cached QueryPool, created on
+        first use (``num_actors`` applies then only)."""
+        if self._pool is None:
+            self._pool = QueryPool(self.index_dir, num_actors=num_actors, searcher=self)
+        return self._pool.submit(op, *args)
+
+    def _run(self, op: str, *args, pooled: bool = False, num_actors: int = 8) -> list:
+        """Per-shard results of ``op``: one from the in-process shard, or
+        one per pool actor."""
+        if pooled:
+            import ray
+
+            return ray.get(self._submit(op, *args, num_actors=num_actors))
+        return [getattr(self._shard(), op)(*args)]
+
+    # -- ops ---------------------------------------------------------------
     def search_local(
         self,
         flt: Filter,
@@ -96,46 +121,32 @@ class Searcher:
         """Top-k of one filter over every segment, in this process.
         ``wand`` is ignored: there is one evaluation path; the parameter is
         kept until perfbench drops it (ROADMAP F12)."""
-        plan = self.prepare(flt, scorer).plan
-        parts = [
-            segment_topk(r, plan, k, deleted=self._deleted_for(i, r))
-            for i, r in enumerate(self._local_readers())
-        ]
-        merged = pa.concat_tables(parts).to_pandas()
-        merged.insert(0, "query_id", "q")
-        return merge_topk(merged, k).drop(columns=["query_id"])
+        rows = self._run("topk", {"q": self.prepare(flt, scorer).plan}, k)
+        return merge_topk(_frame(rows), k).drop(columns=["query_id"])
 
     def count(self, flt: Filter, scorer: ScorerCfg | None = None,
               pooled: bool = False, num_actors: int = 8) -> int:
         """Exact hit count without scoring output (the COUNT collector
         analog): per-segment full boolean evaluation — one integer per
-        segment/actor crosses, never doc rows.  ``pooled=True`` fans the
-        count across the cached QueryPool's shard-owning actors (the 100 TB
-        path; the driver sums num_actors ints); default counts over local
-        readers."""
-        from iresearch_ray.query.exec import segment_count
-
+        shard crosses, never doc rows.  ``pooled=True`` fans the count
+        across the cached QueryPool's shard-owning actors (the 100 TB
+        path); default counts in-process."""
         plan = self.prepare(flt, scorer).plan
-        if pooled:
-            import ray as _ray
+        return sum(self._run("count", plan, pooled=pooled, num_actors=num_actors))
 
-            if self._pool is None:
-                self._pool = QueryPool(self.index_dir, num_actors=num_actors, searcher=self)
-            pj = json.dumps(plan)
-            return sum(_ray.get([a.count.remote(pj) for a in self._pool.actors]))
-        return sum(
-            segment_count(r, plan, deleted=self._deleted_for(i, r))
-            for i, r in enumerate(self._local_readers())
-        )
+    def _highlights(self, queries, k, scorer, field, source, pooled=False,
+                    num_actors=8) -> pd.DataFrame:
+        frames = self._run("highlight", self._plans(queries, scorer), k, field,
+                           source, pooled=pooled, num_actors=num_actors)
+        return merge_topk(pd.concat(frames, ignore_index=True), k)
 
     def highlights(self, flt: Filter, k: int = 10, scorer: ScorerCfg | None = None,
                    field: str = "text", source: str = "stored") -> pd.DataFrame:
         """Top-k with character highlight spans — recomputed from the stored
         text column (source="stored") or read from the indexed offset stream
         (source="index"; functions/highlight.py, SURVEY §2.1 offsets)."""
-        from iresearch_ray.functions.highlight import highlights as _hl
-
-        return _hl(self, flt, k=k, scorer=scorer, field=field, source=source)
+        out = self._highlights({"q": flt}, k, scorer, field, source)
+        return out.drop(columns=["query_id"])
 
     def highlights_pooled(
         self,
@@ -150,71 +161,47 @@ class Searcher:
         computed inside the shard-owning actors, so the driver never loads
         segment data (the 100 TB path; results identical to highlights()
         plus a query_id column)."""
-        if self._pool is None:
-            self._pool = QueryPool(self.index_dir, num_actors=num_actors, searcher=self)
-        return self._pool.highlights(queries, k=k, scorer=scorer, field=field, source=source)
+        return self._highlights(queries, k, scorer, field, source, pooled=True,
+                                num_actors=num_actors)
 
-    # -- distributed execution: one Ray task per work-unit batch ----------
+    # -- distributed execution: one Ray task per segment ---------------------
     def search_ray(
         self,
         queries: dict[str, Filter],
         k: int = 10,
         scorer: ScorerCfg | None = None,
         concurrency: int | tuple[int, int] | None = None,
-        batch_size: int | None = None,
     ) -> pd.DataFrame:
         """Run a batch of named queries; returns (query_id, conv_id,
         turn_idx, score) with ranks merged across segments.
 
-        Each (segment × query-batch) work unit runs as a Ray TASK: segment
-        state is loaded fresh per unit (the cold path stays cold), but tasks
-        execute in Ray's prestarted worker processes, so a one-shot batch
-        does not pay an actor pool's per-process spawn+import (~2 s) before
-        the first posting is read.  Repeat callers should use
+        Each segment runs every query as one Ray TASK: segment state is
+        loaded fresh per task (the cold path stays cold), but tasks execute
+        in Ray's prestarted worker processes, so a one-shot batch does not
+        pay an actor pool's per-process spawn+import (~2 s) before the
+        first posting is read.  Repeat callers should use
         ``search_pooled``, whose actors keep their segment shards."""
         import ray.data as rd
 
-        plans = {
-            qid: json.dumps(self.prepare(f, scorer).plan) for qid, f in queries.items()
-        }
-        # group items per segment so one opened reader serves a whole batch
-        # of queries per block (cache locality, SURVEY §3.2)
-        from iresearch_ray.pipelines.delete import _entries
-
-        tombs_json = json.dumps(_entries(self.manifest))
-        if tombs_json == "[]":
-            tombs_json = ""
-        items = [
-            {
-                "seg_dir": d,
-                "query_id": qid,
-                "plan": plan,
-                "k": k,
-            }
-            for d in self.seg_dirs
-            for qid, plan in plans.items()
-        ]
-        if not items:
+        if not self.seg_dirs or not queries:
             return RESULT_SCHEMA.empty_table().to_pandas()
-        if batch_size is None:
-            batch_size = max(1, len(plans))
-        ds = rd.from_items(items)
-        # tombstones + index_dir ship ONCE (fn_kwargs) instead of being
-        # duplicated into every (segment x query) work item
+        ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
+        # plans, tombstones and index_dir ship ONCE (fn_kwargs)
         res = ds.map_batches(
             search_batch_task,
             fn_kwargs={
-                "tombstones_json": tombs_json,
+                "plans": self._plans(queries, scorer),
+                "k": k,
+                "tombstones": self.tombstones,
                 "index_dir": self.index_dir,
                 "crypto": self.crypto,
             },
             batch_format="pyarrow",
-            batch_size=batch_size,
+            batch_size=1,
             concurrency=concurrency,
             num_cpus=1,
         )
-        frames = res.to_pandas()
-        return merge_topk(frames, k)
+        return merge_topk(res.to_pandas(), k)
 
     # -- pooled execution: cached persistent QueryPool ---------------------
     def search_pooled(
@@ -236,9 +223,9 @@ class Searcher:
         paths until a new Searcher is opened.  ``num_actors`` applies on
         the first call only (the pool persists); call ``close()`` to tear
         it down."""
-        if self._pool is None:
-            self._pool = QueryPool(self.index_dir, num_actors=num_actors, searcher=self)
-        return self._pool.search(queries, k=k, scorer=scorer)
+        rows = self._run("topk", self._plans(queries, scorer), k, pooled=True,
+                         num_actors=num_actors)
+        return merge_topk(_frame(rows), k)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -246,139 +233,51 @@ class Searcher:
             self._pool = None
 
 
-class _PoolWorker:
-    """One persistent query actor owning a SHARD of segments (segments are
-    partitioned round-robin across the pool, not replicated — pool memory =
-    index size, not index × actors)."""
+def _frame(tables: list[pa.Table]) -> pd.DataFrame:
+    return pa.concat_tables(tables).to_pandas()
 
-    def __init__(self, index_dir: str, seg_dirs: list[str], tombs_json: str, cache_size: int = 256, crypto=None):
+
+class PoolShard(Shard):
+    """One persistent QueryPool actor owning a slice of the segments
+    (segments are partitioned round-robin across the pool, not
+    replicated — pool memory = index size, not index × actors)."""
+
+    def __init__(self, index_dir: str, seg_dirs: list[str], tombstones: list[dict],
+                 crypto=None, cache_size: int = 256):
         import collections
-        import json as _json
 
-        # proxy/caching-filter analog (SURVEY §2.5 bitset/cached iterators):
-        # per-worker LRU of fully-evaluated shard results keyed by the plan
-        # JSON — repeat queries skip evaluation entirely
-        self._cache: "collections.OrderedDict[tuple, object]" = collections.OrderedDict()
-        self._cache_size = cache_size
         # the posting-cache budget is PER PROCESS, divided across this
-        # worker's shard readers (a worker holding 16 segments must not pin
+        # actor's readers (an actor holding 16 segments must not pin
         # 16 x the per-reader default)
         per_reader = max(
             8 << 20, SegmentReader.POSTING_CACHE_BYTES // max(1, len(seg_dirs))
         )
-        self.readers = [SegmentReader(d, cache_bytes=per_reader, crypto=crypto) for d in seg_dirs]
-        from iresearch_ray.pipelines.delete import segment_deleted_mask
+        readers = [SegmentReader(d, cache_bytes=per_reader, crypto=crypto) for d in seg_dirs]
+        super().__init__(readers, deleted_masks(index_dir, tombstones, readers))
+        # proxy/caching-filter analog (SURVEY §2.5 bitset/cached iterators):
+        # per-actor LRU of evaluated shard results keyed by the plan JSON —
+        # repeat queries skip evaluation entirely
+        self._cache: "collections.OrderedDict[tuple, pa.Table]" = collections.OrderedDict()
+        self._cache_size = cache_size
 
-        # tombstone entries arrive pre-scoped ({"file", "segments"} dicts)
-        tombs = {"tombstones": _json.loads(tombs_json) if tombs_json else []}
-        self.deleted = [
-            segment_deleted_mask(index_dir, tombs, d, r) for d, r in zip(seg_dirs, self.readers)
-        ]
+    def _plan_topk(self, plan: dict, k: int) -> pa.Table:
+        key = (json.dumps(plan), k)
+        t = self._cache.get(key)
+        if t is not None:
+            self._cache.move_to_end(key)
+            return t
+        t = self._cache[key] = super()._plan_topk(plan, k)
+        if len(self._cache) > self._cache_size:
+            self._cache.popitem(last=False)
+        return t
 
-    def run(self, plans: dict[str, str], k: int):
-        import json as _json
-
-        import pyarrow as _pa
-
+    def topk(self, plans: dict[str, dict], k: int) -> pa.Table:
         from iresearch_ray.state.meter import cpu_mark, report_since
 
-        _mk = cpu_mark()
-        out = []
-        for qid, pj in plans.items():
-            key = (pj, k)
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                tables = cached
-            else:
-                plan = _json.loads(pj)
-                tables = [
-                    segment_topk(r, plan, k, deleted=dmask)
-                    for r, dmask in zip(self.readers, self.deleted)
-                ]
-                self._cache[key] = tables
-                if len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-            for t in tables:
-                out.append(
-                    _pa.table(
-                        {
-                            "query_id": _pa.array([qid] * t.num_rows, _pa.string()),
-                            "conv_id": t["conv_id"].cast(_pa.string()),
-                            "turn_idx": t["turn_idx"].cast(_pa.int32()),
-                            "score": t["score"],
-                        }
-                    )
-                )
-        report_since("query_pool", _mk)
-        if not out:
-            return RESULT_SCHEMA.empty_table()
-        return _pa.concat_tables(out).cast(RESULT_SCHEMA)
-
-    def count(self, plan_json: str) -> int:
-        """Shard-local scoreless hit count (COUNT collector): one int
-        leaves the actor."""
-        import json as _json
-
-        from iresearch_ray.query.exec import segment_count
-
-        plan = _json.loads(plan_json)
-        return sum(
-            segment_count(r, plan, deleted=d)
-            for r, d in zip(self.readers, self.deleted)
-        )
-
-    def highlight(self, plans: dict[str, str], k: int, field: str, source: str):
-        """Shard-local top-k WITH highlight spans: spans are computed inside
-        the actor from its own readers (stored-text retokenize or indexed
-        offsets), so the driver never loads segment data — the 100 TB
-        highlight path.  Spans ship as a JSON column; the driver merges
-        the global top-k."""
-        import json as _json
-
-        import pyarrow as _pa
-
-        from iresearch_ray.functions.highlight import plan_terms, spans_for_hits
-
-        out = []
-        for qid, pj in plans.items():
-            plan = _json.loads(pj)
-            terms = sorted(plan_terms(plan["root"], field))
-            for r, dmask in zip(self.readers, self.deleted):
-                t = segment_topk(r, plan, k, deleted=dmask)
-                if t.num_rows == 0:
-                    continue
-                texts, spans, _ok = spans_for_hits(r, t, terms, field, source)
-                out.append(
-                    _pa.table(
-                        {
-                            "query_id": _pa.array([qid] * t.num_rows, _pa.string()),
-                            "conv_id": t["conv_id"].cast(_pa.string()),
-                            "turn_idx": t["turn_idx"].cast(_pa.int32()),
-                            "score": t["score"],
-                            "text": _pa.array(texts, _pa.string()),
-                            "spans_json": _pa.array(
-                                [_json.dumps(sp) for sp in spans], _pa.string()
-                            ),
-                        }
-                    )
-                )
-        if not out:
-            return None
-        return _pa.concat_tables(out)
-
-    def payload_topk(self, field: str, term: str, k: int):
-        """Shard-local payload-weight-sum top-k (functions/payload.py
-        kernel) — the distributed payload ranking path."""
-        import pandas as _pd
-
-        from iresearch_ray.functions.payload import reader_payload_topk
-
-        parts = [
-            reader_payload_topk(r, field, term, k, deleted=dmask)
-            for r, dmask in zip(self.readers, self.deleted)
-        ]
-        return _pd.concat(parts, ignore_index=True)
+        mk = cpu_mark()
+        out = super().topk(plans, k)
+        report_since("query_pool", mk)
+        return out
 
 
 _POOL_CLS_CACHE: dict = {}
@@ -422,76 +321,27 @@ class QueryPool:
         num_actors = max(1, min(num_actors, max(1, len(seg_dirs)), cpu_budget))
         shards = [seg_dirs[i::num_actors] for i in range(num_actors)]
         shards = [sh for sh in shards if sh]
-        from iresearch_ray.pipelines.delete import _entries
-
-        # NORMALIZED entries (legacy string tombstones carry implicit global
-        # scope — serializing the raw list dropped their scope and the pool
-        # silently served deleted docs)
-        tombs = json.dumps(_entries(self.searcher.manifest))
-        if tombs == "[]":
-            tombs = ""
         # cache the remote actor class per num_cpus: re-wrapping mints a new
         # class id and re-exports the pickled definition on every pool
         # construction (cold-start path)
-        worker = _POOL_CLS_CACHE.get(num_cpus)
-        if worker is None:
-            worker = _POOL_CLS_CACHE[num_cpus] = ray.remote(num_cpus=num_cpus)(
-                _PoolWorker
-            )
+        actor_cls = _POOL_CLS_CACHE.get(num_cpus)
+        if actor_cls is None:
+            actor_cls = _POOL_CLS_CACHE[num_cpus] = ray.remote(num_cpus=num_cpus)(PoolShard)
         self.actors = [
-            worker.remote(index_dir, sh, tombs, crypto=self.searcher.crypto)
+            actor_cls.remote(index_dir, sh, self.searcher.tombstones, crypto=self.searcher.crypto)
             for sh in shards
         ]
+
+    def submit(self, op: str, *args) -> list:
+        """Refs of the ``Shard`` op ``op`` on every actor."""
+        return [getattr(a, op).remote(*args) for a in self.actors]
 
     def search(self, queries: dict[str, Filter], k: int = 10,
                scorer: ScorerCfg | None = None) -> pd.DataFrame:
         import ray
 
-        plans = {
-            qid: json.dumps(self.searcher.prepare(f, scorer).plan)
-            for qid, f in queries.items()
-        }
-        tables = ray.get([a.run.remote(plans, k) for a in self.actors])
-        frames = pa.concat_tables(tables).to_pandas()
-        return merge_topk(frames, k)
-
-    def highlights(
-        self,
-        queries: dict[str, Filter],
-        k: int = 10,
-        scorer: ScorerCfg | None = None,
-        field: str = "text",
-        source: str = "stored",
-    ) -> pd.DataFrame:
-        """Distributed highlights: each actor computes spans for ITS shard's
-        hits (same kernel as Searcher.highlights), the driver merges only
-        the k survivors per query — segment data never leaves the pool."""
-        import json as _json
-
-        import ray
-
-        plans = {
-            qid: _json.dumps(self.searcher.prepare(f, scorer).plan)
-            for qid, f in queries.items()
-        }
-        tables = [
-            t
-            for t in ray.get(
-                [a.highlight.remote(plans, k, field, source) for a in self.actors]
-            )
-            if t is not None
-        ]
-        if not tables:
-            empty = RESULT_SCHEMA.empty_table().to_pandas()
-            empty["text"] = pd.Series(dtype=object)
-            empty["spans"] = pd.Series(dtype=object)
-            return empty
-        frames = pa.concat_tables(tables).to_pandas()
-        merged = merge_topk(frames, k)
-        merged["spans"] = [
-            [tuple(p) for p in _json.loads(s)] for s in merged["spans_json"]
-        ]
-        return merged.drop(columns=["spans_json"])
+        plans = self.searcher._plans(queries, scorer)
+        return merge_topk(_frame(ray.get(self.submit("topk", plans, k))), k)
 
     def shutdown(self) -> None:
         import ray

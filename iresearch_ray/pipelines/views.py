@@ -540,25 +540,19 @@ class ViewSearcher:
         (min 1 each), so a view with many links cannot quietly allocate
         links × N actors.  With more links than budget each link still gets
         one actor — the floor — and the total equals the link count."""
+        import pyarrow as pa
         import ray
 
         targets = self._targets(collections)
         per_link = max(1, num_actors // max(1, len(targets)))
         # fan the plan out to every link's pool CONCURRENTLY (per-link pools
         # are disjoint actor sets; serializing them would stack latencies)
-        frames = []
         pending = []
         for c in targets:
             s = self.searchers[c]
-            if s._pool is None:
-                from iresearch_ray.pipelines.search import QueryPool
-
-                s._pool = QueryPool(s.index_dir, num_actors=per_link, searcher=s)
-            pool = s._pool
-            plans = {qid: json.dumps(s.prepare(f, scorer).plan) for qid, f in queries.items()}
-            pending.append((c, [a.run.remote(plans, k) for a in pool.actors]))
-        import pyarrow as pa
-
+            plans = s._plans(queries, scorer)
+            pending.append((c, s._submit("topk", plans, k, num_actors=per_link)))
+        frames = []
         for c, refs in pending:
             t = pa.concat_tables(ray.get(refs)).to_pandas()
             t.insert(0, "collection", c)

@@ -1,22 +1,25 @@
-"""Per-segment query work — the map function of ``Searcher.search_ray``
-(SURVEY.md §3.2).
+"""Per-segment query work — the shard half of every query op (SURVEY.md
+§3.2).
 
-``search_batch_task`` runs one batch of (seg_dir, query_id, plan, k)
-work items as a Ray task in a prestarted worker process: no actor spawn or
-import before the first posting block is read.  Segment readers, parsed
-plans and deleted-doc masks are opened lazily and shared within the call
-only — work items are grouped one segment × all queries per batch, so a
-cross-batch cache would never hit.  Output is the per-segment top-k
-(query_id, conv_id, turn_idx, score).
+A ``Shard`` is a list of segment readers plus their deleted-doc masks.
+Every op — scored top-k, scoreless count, top-k with highlight spans,
+payload-weight top-k — takes plans prepared on the driver, evaluates them
+segment by segment, and returns per-shard rows that the driver merges.
+Three placements run the same class:
+
+- ``Searcher`` holds one shard over every segment, in-process;
+- each ``QueryPool`` actor (``pipelines.search.PoolShard``) holds a
+  round-robin slice of the segments for the pool's lifetime;
+- ``search_batch_task`` opens a shard over the segments of one Ray Data
+  batch (``Searcher.search_ray``) in a prestarted worker process.
 """
 
 from __future__ import annotations
 
-import json
-
+import pandas as pd
 import pyarrow as pa
 
-from iresearch_ray.query.exec import segment_topk
+from iresearch_ray.query.exec import segment_count, segment_topk
 from iresearch_ray.stages.segment import SegmentReader
 
 RESULT_SCHEMA = pa.schema(
@@ -29,64 +32,106 @@ RESULT_SCHEMA = pa.schema(
 )
 
 
+def deleted_masks(index_dir: str, tombstones: list[dict], readers) -> list:
+    """One deleted-doc mask (or None) per reader from the normalized
+    tombstone entries (``delete._entries``), honoring each entry's
+    segment scope."""
+    from iresearch_ray.pipelines.delete import segment_deleted_mask
+
+    tombs = {"tombstones": tombstones}
+    return [segment_deleted_mask(index_dir, tombs, r.seg_dir, r) for r in readers]
+
+
+class Shard:
+    """Segment readers with their deleted-doc masks; each op returns the
+    rows of this shard for the driver to merge."""
+
+    def __init__(self, readers: list[SegmentReader], deleted: list):
+        self.readers = readers
+        self.deleted = deleted
+
+    def _segments(self):
+        return zip(self.readers, self.deleted)
+
+    def _plan_topk(self, plan: dict, k: int) -> pa.Table:
+        """(conv_id, turn_idx, score): every segment's top-k of ``plan``."""
+        parts = [segment_topk(r, plan, k, deleted=d) for r, d in self._segments()]
+        if not parts:
+            return RESULT_SCHEMA.empty_table().drop_columns(["query_id"])
+        return pa.concat_tables(parts)
+
+    def topk(self, plans: dict[str, dict], k: int) -> pa.Table:
+        """Per-segment top-k of every named plan, as ``RESULT_SCHEMA`` rows
+        (one table per plan, labelled with its query id)."""
+        return _labelled({qid: self._plan_topk(p, k) for qid, p in plans.items()})
+
+    def count(self, plan: dict) -> int:
+        return sum(segment_count(r, plan, deleted=d) for r, d in self._segments())
+
+    def highlight(self, plans: dict[str, dict], k: int, field: str, source: str) -> pd.DataFrame:
+        """Per-segment top-k with ``text`` and ``spans``: each hit's spans
+        come from the reader that holds it (stored-text retokenize or the
+        indexed offset stream, functions/highlight.py)."""
+        from iresearch_ray.functions.highlight import plan_terms, spans_for_hits
+
+        if source == "index":
+            if self.readers and not self.readers[0].meta.get("config", {}).get("offsets"):
+                raise ValueError(
+                    "highlights(source='index') needs the index built with "
+                    "IndexConfig(offsets=True)"
+                )
+        elif any(field not in r.docs_schema.names for r in self.readers):
+            raise ValueError(
+                f"highlights() needs the index built with store_text=True "
+                f"(stored column {field!r} missing)"
+            )
+        frames = []
+        for qid, plan in plans.items():
+            terms = sorted(plan_terms(plan["root"], field))
+            for r, d in self._segments():
+                t = segment_topk(r, plan, k, deleted=d)
+                f = _labelled({qid: t}).to_pandas()
+                f["text"], f["spans"] = spans_for_hits(r, t, terms, field, source)
+                frames.append(f)
+        if not frames:
+            return RESULT_SCHEMA.empty_table().to_pandas().assign(text=None, spans=None)
+        return pd.concat(frames, ignore_index=True)
+
+    def payload_topk(self, field: str, term: str, k: int) -> pd.DataFrame:
+        """Per-segment top-k by payload-weight sum (functions/payload.py)."""
+        from iresearch_ray.functions.payload import reader_payload_topk
+
+        parts = [reader_payload_topk(r, field, term, k, deleted=d) for r, d in self._segments()]
+        if not parts:
+            return pd.DataFrame(columns=["conv_id", "turn_idx", "score"])
+        return pd.concat(parts, ignore_index=True)
+
+
+def _labelled(tables: dict[str, pa.Table]) -> pa.Table:
+    """Prefix each (conv_id, turn_idx, score) table with its query id and
+    stack them as ``RESULT_SCHEMA`` rows."""
+    out = [
+        t.add_column(0, "query_id", pa.repeat(pa.scalar(qid, pa.string()), t.num_rows))
+        .cast(RESULT_SCHEMA)
+        for qid, t in tables.items()
+    ]
+    return pa.concat_tables(out) if out else RESULT_SCHEMA.empty_table()
+
+
 def search_batch_task(
-    batch: pa.Table, *, tombstones_json: str = "", index_dir: str = "", crypto=None
+    batch: pa.Table, *, plans: dict[str, dict], k: int, tombstones: list[dict],
+    index_dir: str, crypto=None,
 ) -> pa.Table:
-    """Per-segment top-k of every work item in ``batch``.  Tombstones,
-    index_dir and crypto ship once per call (fn_kwargs) instead of per item;
-    tombstone entries are pre-normalized scoped dicts ({"file", "segments"})
-    so the deleted mask honors per-segment delete scope."""
+    """``RESULT_SCHEMA`` rows of every plan over the segments in ``batch``
+    (a ``seg_dir`` column).  Plans, k, the normalized tombstone entries and
+    crypto ship once per call (fn_kwargs), not per item."""
     from iresearch_ray.state.meter import cpu_mark, report_since
 
     mk = cpu_mark()
-    readers: dict[str, SegmentReader] = {}
-    plans: dict[str, dict] = {}
-    masks: dict[str, object] = {}
-
-    def reader(seg_dir: str) -> SegmentReader:
-        if seg_dir not in readers:
-            # a worker's posting-cache budget, split across the readers a
-            # wide batch may open
-            readers[seg_dir] = SegmentReader(
-                seg_dir,
-                cache_bytes=max(8 << 20, SegmentReader.POSTING_CACHE_BYTES // 64),
-                crypto=crypto,
-            )
-        return readers[seg_dir]
-
-    def deleted(seg_dir: str):
-        if not tombstones_json:
-            return None
-        if seg_dir not in masks:
-            from iresearch_ray.pipelines.delete import segment_deleted_mask
-
-            tombs = {"tombstones": json.loads(tombstones_json)}
-            masks[seg_dir] = segment_deleted_mask(index_dir, tombs, seg_dir, reader(seg_dir))
-        return masks[seg_dir]
-
-    out: list[pa.Table] = []
-    for seg_dir, qid, plan_json, k in zip(
-        batch["seg_dir"].to_pylist(),
-        batch["query_id"].to_pylist(),
-        batch["plan"].to_pylist(),
-        batch["k"].to_pylist(),
-    ):
-        if plan_json not in plans:
-            plans[plan_json] = json.loads(plan_json)
-        t = segment_topk(
-            reader(seg_dir), plans[plan_json], int(k), deleted=deleted(seg_dir)
-        )
-        out.append(
-            pa.table(
-                {
-                    "query_id": pa.array([qid] * t.num_rows, pa.string()),
-                    "conv_id": t["conv_id"].cast(pa.string()),
-                    "turn_idx": t["turn_idx"].cast(pa.int32()),
-                    "score": t["score"],
-                }
-            )
-        )
+    readers = [
+        SegmentReader(d, cache_bytes=8 << 20, crypto=crypto)
+        for d in batch["seg_dir"].to_pylist()
+    ]
+    out = Shard(readers, deleted_masks(index_dir, tombstones, readers)).topk(plans, k)
     report_since("query", mk)
-    if not out:
-        return RESULT_SCHEMA.empty_table()
-    return pa.concat_tables(out).cast(RESULT_SCHEMA)
+    return out

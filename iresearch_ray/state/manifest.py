@@ -169,12 +169,18 @@ def gc_segments(index_dir: str, manifest: dict) -> list[str]:
             removed.append(name)
     evict_readers([os.path.join(seg_root, name) for name in removed])
     # stale per-generation stats caches go with their generations
-    # (not counted in the returned segment list)
+    # (not counted in the returned segment list): a driver-merged file or a
+    # Ray-merged directory of files
     gen = manifest.get("generation")
+    live_stats = {f"stats-g{gen}.parquet", f"stats-g{gen}.statsd"}
     for f in os.listdir(index_dir):
-        if f.startswith("stats-g") and f.endswith(".parquet") and f != f"stats-g{gen}.parquet":
-            try:
-                os.unlink(os.path.join(index_dir, f))
-            except OSError:
-                pass
+        if f.startswith("stats-g") and f not in live_stats:
+            p = os.path.join(index_dir, f)
+            if f.endswith(".statsd"):
+                shutil.rmtree(p, ignore_errors=True)
+            elif f.endswith(".parquet"):
+                try:
+                    os.unlink(p)
+                except OSError:
+                    pass
     return removed

@@ -282,3 +282,19 @@ def test_verify_text_equality_distributed(corpus, tmp_path, ray_session):
     build_index(files, d2, num_partitions=2, resume=False)
     with pytest.raises(AssertionError, match="text mismatch"):
         verify_text_equality(d2, [mut] + files[1:], distributed=True)
+
+
+def test_verify_text_equality_encrypted_under_ray(corpus, tmp_path, ray_session):
+    """With a live Ray session and a file source, an encrypted index is
+    checked on the driver (Ray Data cannot decrypt its docs files)."""
+    import os
+
+    from iresearch_ray import IndexEncryption, build_index
+    from iresearch_ray.pipelines.build import verify_text_equality
+
+    key = IndexEncryption(b"0123456789abcdef" * 2)
+    files = [os.path.join(corpus, f) for f in sorted(os.listdir(corpus)) if f.endswith(".parquet")]
+    d = str(tmp_path / "idx_enc")
+    build_index(files, d, num_partitions=2, resume=False, crypto=key)
+    r = verify_text_equality(d, files, crypto=key)
+    assert r["equal"] and r["checked"] == r["source_rows"] > 0

@@ -438,7 +438,7 @@ def test_cluster_pairs_distributed_matches_driver(ray_session):
     assert got == ops.cluster_pairs(pairs)
 
 
-def test_near_dedup_distributed_matches_driver(docs_tbl, ray_session):
+def test_near_dedup_distributed_matches_driver(docs_tbl, ray_session, monkeypatch):
     """The distributed clustering + co-located anti-join path must keep the
     SAME survivors as the driver union-find path, on a dup-DOMINATED corpus
     (every base doc has two planted near-copies — pairs ~ O(N), the regime
@@ -457,8 +457,9 @@ def test_near_dedup_distributed_matches_driver(docs_tbl, ray_session):
         [pa.Table.from_pylist(rows, schema=docs_tbl.schema),
          pa.Table.from_pylist(extra, schema=docs_tbl.schema)]
     )
-    a = ops.near_dedup(_ds(corpus, ray_session), threshold=0.5, distributed=False).to_pandas()
-    b = ops.near_dedup(_ds(corpus, ray_session), threshold=0.5, distributed=True).to_pandas()
+    a = ops.near_dedup(_ds(corpus, ray_session), threshold=0.5).to_pandas()
+    monkeypatch.setattr(ops, "_NEAR_DEDUP_DRIVER_PAIRS", 0)  # distributed only
+    b = ops.near_dedup(_ds(corpus, ray_session), threshold=0.5).to_pandas()
     assert len(a) < corpus.num_rows  # dedup actually removed dups
     assert set(a["doc_id"]) == set(b["doc_id"])
     # full row content parity, not just ids

@@ -87,7 +87,7 @@ def test_reader_cache_isolates_keys(ray_session, tmp_path):
     idx = _build(tmp_path, key)
     s = Searcher(idx, crypto=key)
     assert len(s.search_local(F.Term("text", "agent"), k=5)) == 5
-    cached = s._local_readers()
+    cached = s._shard().readers
 
     wrong = IndexEncryption(b"x" * 32)
     assert wrong.key_id == key.key_id
@@ -102,6 +102,36 @@ def test_reader_cache_isolates_keys(ray_session, tmp_path):
         with pytest.raises(err):
             readers[0].doc_keys
     assert open_readers(s.seg_dirs, IndexEncryption(KEY)) == cached
+
+
+def test_pooled_serving_on_encrypted_index_with_deletes(ray_session, tmp_path):
+    """The QueryPool actors decrypt their shards and mask the same
+    tombstoned docs as the in-process shard: pooled search, count and
+    highlights equal their local forms after a delete."""
+    from iresearch_ray import IndexEncryption, Searcher
+    from iresearch_ray.pipelines.delete import delete_keys
+    from iresearch_ray.query import filters as F
+
+    key = IndexEncryption(KEY)
+    idx = _build(tmp_path, key)
+    flt = F.Term("text", "agent")
+    victims = Searcher(idx, crypto=key).search_local(flt, k=3)
+    delete_keys(idx, list(zip(victims["conv_id"], victims["turn_idx"].astype(int))))
+    s = Searcher(idx, crypto=key)
+    try:
+        local = s.search_local(flt, k=20)
+        assert not set(zip(victims["conv_id"], victims["turn_idx"])) & set(
+            zip(local["conv_id"], local["turn_idx"])
+        )
+        pooled = s.search_pooled({"q": flt}, k=20, num_actors=2)
+        assert pooled.drop(columns=["query_id"]).equals(local)
+        assert s.count(flt, pooled=True) == s.count(flt) == len(
+            s.search_local(flt, k=100_000)
+        )
+        hl = s.highlights_pooled({"q": flt}, k=20)
+        assert hl.drop(columns=["query_id"]).equals(s.highlights(flt, k=20))
+    finally:
+        s.close()
 
 
 def test_encrypted_consolidation_roundtrip(ray_session, tmp_path):

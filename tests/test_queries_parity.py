@@ -149,7 +149,7 @@ def test_wand_argument_ignored(corpus):
         off = searcher.search_local(flt, k=10, wand=False)
         pd.testing.assert_frame_equal(on, off)
         plan = searcher.prepare(flt).plan
-        for r in searcher._local_readers():
+        for r in searcher._shard().readers:
             assert segment_topk(r, plan, 10, True).equals(segment_topk(r, plan, 10, False))
 
 

@@ -49,7 +49,7 @@ def _cached() -> list:
 
 
 def _readers_by_dir(searcher) -> dict:
-    return {r.seg_dir: r for r in searcher._local_readers()}
+    return {r.seg_dir: r for r in searcher._shard().readers}
 
 
 def test_generations_reuse_readers_and_match_oracle(tmp_path, ray_session):
@@ -106,7 +106,7 @@ def test_generations_reuse_readers_and_match_oracle(tmp_path, ray_session):
     build_index(str(tmp_path / "other"), idx, num_partitions=3)
     s4 = Searcher(idx)
     _assert_matches_oracle(s4, other)
-    assert not {id(r) for r in s4._local_readers()} & before
+    assert not {id(r) for r in s4._shard().readers} & before
 
 
 def _write_seg(index_dir: str, rows: pa.Table) -> str:
@@ -137,11 +137,11 @@ def test_cache_weight_stays_under_bound(tmp_path, monkeypatch):
         d = str(tmp_path / f"tiny{i}")
         build_index_local(gen_transcripts_range(i * 10, i * 10 + 10), d)
         s = Searcher(d)
-        s._local_readers()
+        s._shard().readers
         opened += 1
         assert sum(r.loaded_bytes() for r in _cached()) <= bound
         s.search_local(FILTERS[1], k=5)
-        assert s._local_readers()[0].loaded_bytes() > 0
+        assert s._shard().readers[0].loaded_bytes() > 0
     assert len(_cached()) < opened
 
 
@@ -164,8 +164,8 @@ def test_queries_read_only_key_columns(tmp_path):
     assert (victim["conv_id"][0], victim["turn_idx"][0]) not in set(
         zip(masked["conv_id"], masked["turn_idx"])
     )
-    readers = s2._local_readers()
-    assert readers == s._local_readers()
+    readers = s2._shard().readers
+    assert readers == s._shard().readers
     for r in readers:
         assert "text" not in r._doc_cols
         assert set(r._doc_cols) <= {"conv_id", "turn_idx", "dl"}
