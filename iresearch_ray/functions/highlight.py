@@ -109,27 +109,15 @@ def _index_doc_spans(reader, row: int, doc_id: int) -> list[tuple[int, int]]:
     return list(zip(starts[occ_lo:occ_hi].tolist(), ends[occ_lo:occ_hi].tolist()))
 
 
-def _locate(r, conv_id, turn_idx) -> int:
-    """Row position of (conv_id, turn_idx), a key ``r`` holds, in its docs
-    table."""
-    import numpy as np
-
-    perm, sc, st = r.key_view
-    lo = int(np.searchsorted(sc, conv_id, side="left"))
-    hi = int(np.searchsorted(sc, conv_id, side="right"))
-    return int(perm[lo + int(np.searchsorted(st[lo:hi], turn_idx))])
-
-
 def spans_for_hits(
     reader,
-    hits,
+    docs,
     terms: set[str] | list[str],
     field: str,
     source: str = "stored",
 ) -> tuple[list, list]:
-    """(texts, spans) for hit rows held by ``reader`` — the per-segment
-    kernel of ``Shard.highlight``.  ``hits`` is a pa.Table with
-    conv_id/turn_idx columns."""
+    """(texts, spans) for the hit doc ids ``docs`` of ``reader`` — the
+    per-segment kernel of ``Shard.highlight``."""
     term_rows = (
         {t: reader.term_row(field, t) for t in sorted(terms)}
         if source == "index"
@@ -138,8 +126,7 @@ def spans_for_hits(
     texts: list[str | None] = []
     spans: list[list[tuple[int, int]]] = []
     stored = field in reader.docs_schema.names
-    for c, t in zip(hits["conv_id"].to_pylist(), hits["turn_idx"].to_pylist()):
-        pos = _locate(reader, c, t)
+    for pos in (docs - 1).tolist():
         text = reader.doc_column(field)[pos].as_py() if stored else None
         texts.append(text)
         if source == "index":

@@ -2,12 +2,13 @@
 ref: core/index/index_writer.cpp documents().remove(filter), document_mask).
 
 A delete is a TOMBSTONE parquet of (conv_id, turn_idx) keys committed as a
-new manifest generation — segments are immutable, exactly like the
-reference's bitset side files.  Query time applies the mask per segment
-(docs excluded from iteration; term stats keep counting them until a merge,
-matching the reference).  Consolidation PURGES masked docs: when any merge
-candidate contains tombstoned keys the merge rebuilds the new segment from
-the stored doc rows instead of blob-concat (requires ``store_text=True``).
+new manifest generation, encrypted like the segments on an encrypted index
+— segments are immutable, exactly like the reference's bitset side files.
+Query time applies the mask per segment (docs excluded from iteration;
+term stats keep counting them until a merge, matching the reference).
+Consolidation PURGES masked docs: when any merge candidate contains
+tombstoned keys the merge rebuilds the new segment from the stored doc rows
+instead of blob-concat (requires ``store_text=True``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from iresearch_ray.state.crypto import parquet_file_any, read_parquet_any, require_key
 from iresearch_ray.state.manifest import commit_manifest, load_manifest
 
 TOMBSTONE_SCHEMA = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32())])
@@ -46,16 +48,22 @@ def _keys_table(keys: pa.Table | list[tuple[str, int]]) -> pa.Table:
     )
 
 
-def _write_tombstone(index_dir: str, t: pa.Table) -> str:
+def _write_tombstone(index_dir: str, t: pa.Table, crypto=None) -> str:
     """Write a tombstone parquet under a CONTENT name and return it.
     sha256-derived (not crc32): a 32-bit name collision between two
     different key sets would silently drop the second delete — the
-    existence check must only ever hit for identical content."""
+    existence check must only ever hit for identical content.  With
+    ``crypto`` the file is encrypted and the name is an HMAC under the
+    master key, so it cannot confirm a guessed key set."""
     import hashlib
+    import hmac
 
     tdir = os.path.join(index_dir, "tombstones")
     os.makedirs(tdir, exist_ok=True)
-    h = hashlib.sha256()
+    if crypto is None:
+        h = hashlib.sha256()
+    else:
+        h = hmac.new(crypto.master_key, digestmod=hashlib.sha256)
     h.update(str(t.num_rows).encode())
     for c, i in zip(t["conv_id"].to_pylist(), t["turn_idx"].to_pylist()):
         h.update(f"{c}\x01{i}\x00".encode())
@@ -63,7 +71,10 @@ def _write_tombstone(index_dir: str, t: pa.Table) -> str:
     path = os.path.join(tdir, name)
     if not os.path.exists(path):  # idempotent (content name)
         tmp = f"{path}.tmp.{os.getpid()}.{next(_STAGE_SEQ)}"
-        pq.write_table(t, tmp)
+        if crypto is None:
+            pq.write_table(t, tmp)
+        else:
+            crypto.write_table(t, tmp)
         # fsync file + dir before/after the publishing rename: the manifest
         # commit is fsynced, so a committed generation must never reference
         # a tombstone whose contents could be lost behind it on power loss
@@ -82,15 +93,17 @@ def _write_tombstone(index_dir: str, t: pa.Table) -> str:
     return name
 
 
-def delete_keys(index_dir: str, keys: pa.Table | list[tuple[str, int]]) -> dict:
-    """Tombstone explicit (conv_id, turn_idx) keys; returns the new manifest."""
+def delete_keys(index_dir: str, keys: pa.Table | list[tuple[str, int]], crypto=None) -> dict:
+    """Tombstone explicit (conv_id, turn_idx) keys; returns the new manifest.
+    An encrypted index needs its ``crypto``: the tombstone is written with it."""
     manifest = load_manifest(index_dir)
     if manifest is None:
         raise FileNotFoundError(f"no manifest in {index_dir}")
+    require_key(manifest, crypto)
     t = _keys_table(keys)
     if t.num_rows == 0:
         return manifest
-    name = _write_tombstone(index_dir, t)
+    name = _write_tombstone(index_dir, t, crypto)
     scope = sorted(sm["name"] for sm in manifest["segments"])
     entry = {"file": name, "segments": scope}
     live = [e for e in _entries(manifest)]
@@ -104,7 +117,7 @@ def delete_keys(index_dir: str, keys: pa.Table | list[tuple[str, int]]) -> dict:
         lineage={**manifest.get("lineage", {}), "last_delete": name},
         metrics={
             **manifest.get("metrics", {}),
-            "tombstoned_keys": _count_keys(index_dir, sorted({e["file"] for e in live})),
+            "tombstoned_keys": _count_keys(index_dir, sorted({e["file"] for e in live}), crypto),
         },
         tombstones=live,
     )
@@ -147,18 +160,18 @@ def delete_by_filter(index_dir: str, flt, crypto=None) -> dict:
             conv_all, turn_all = r.doc_keys
             keys += list(zip(conv_all[docs - 1].tolist(),
                              (int(x) for x in turn_all[docs - 1])))
-    return delete_keys(index_dir, keys)
+    return delete_keys(index_dir, keys, crypto)
 
 
-def _count_keys(index_dir: str, names: list[str]) -> int:
-    total = 0
-    for n in names:
-        total += pq.read_metadata(os.path.join(index_dir, "tombstones", n)).num_rows
-    return total
+def _count_keys(index_dir: str, names: list[str], crypto=None) -> int:
+    return sum(
+        parquet_file_any(os.path.join(index_dir, "tombstones", n), crypto).metadata.num_rows
+        for n in names
+    )
 
 
 def load_tombstone_keys(
-    index_dir: str, manifest: dict, for_segment: str | None = None
+    index_dir: str, manifest: dict, for_segment: str | None = None, crypto=None
 ) -> set[tuple[str, int]]:
     """Tombstoned keys applying to ``for_segment`` (or the union over all
     scopes when None), deduped across files."""
@@ -166,7 +179,7 @@ def load_tombstone_keys(
     for e in _entries(manifest):
         if for_segment is not None and for_segment not in e["segments"]:
             continue
-        t = pq.read_table(os.path.join(index_dir, "tombstones", e["file"]))
+        t = read_parquet_any(os.path.join(index_dir, "tombstones", e["file"]), crypto)
         out.update(zip(t["conv_id"].to_pylist(), t["turn_idx"].to_pylist()))
     return out
 
@@ -189,12 +202,13 @@ def update_rows(index_dir: str, rows: pa.Table, num_partitions: int = 1, crypto=
     manifest = load_manifest(index_dir)
     if manifest is None:
         raise FileNotFoundError(f"no manifest in {index_dir}")
+    require_key(manifest, crypto)
     cfg = IndexConfig.from_json(manifest["config"])
     scope = sorted(sm["name"] for sm in manifest["segments"])
 
     # 1) tombstone the replaced keys against the pre-update segments
     keys = _keys_table(rows.select(["conv_id", "turn_idx"]))
-    fname = _write_tombstone(index_dir, keys)
+    fname = _write_tombstone(index_dir, keys, crypto)
 
     # 2) build the replacement segment(s) from the new rows, split by
     # hash(conv_id) into num_partitions segments (same rule as the build)
@@ -265,30 +279,30 @@ def segment_dead_count(
     import pyarrow.compute as pc
 
     from iresearch_ray.stages.segment import docs_paths
-    from iresearch_ray.state.crypto import read_parquet_any as _rpa
 
     tomb = pa.concat_tables(
-        pq.read_table(os.path.join(index_dir, "tombstones", f)) for f in tomb_files
+        read_parquet_any(os.path.join(index_dir, "tombstones", f), crypto) for f in tomb_files
     )
     # is_in is set membership: duplicate keys across tombstone files can't
     # double-count a doc row, so no explicit dedupe pass is needed
     vs = _combined_keys(tomb["conv_id"], tomb["turn_idx"]).combine_chunks()
     dead = 0
     for p in docs_paths(os.path.join(index_dir, "segments", seg_name)):
-        t = _rpa(p, crypto, columns=["conv_id", "turn_idx"])
+        t = read_parquet_any(p, crypto, columns=["conv_id", "turn_idx"])
         k = _combined_keys(t["conv_id"], t["turn_idx"])
         dead += int(pc.sum(pc.is_in(k, value_set=vs)).as_py() or 0)
     return dead
 
 
-def segment_deleted_mask(index_dir: str, manifest: dict, seg_dir: str, reader):
+def segment_deleted_mask(index_dir: str, manifest: dict, seg_dir: str, reader, crypto=None):
     """Deleted-doc mask of the segment at ``seg_dir`` (a path or a bare
     segment name): the tombstone keys of ``manifest`` scoped to that
     segment, probed against ``reader``'s docs.  None when none applies."""
     if not manifest.get("tombstones"):
         return None
     name = os.path.basename(seg_dir.rstrip("/"))
-    return deleted_doc_mask(reader, load_tombstone_keys(index_dir, manifest, for_segment=name))
+    keys = load_tombstone_keys(index_dir, manifest, for_segment=name, crypto=crypto)
+    return deleted_doc_mask(reader, keys)
 
 
 def deleted_doc_mask(reader, keys: set[tuple[str, int]]) -> np.ndarray | None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -34,17 +35,37 @@ from iresearch_ray.state.manifest import load_manifest, segment_dirs
 from iresearch_ray.state.stats import build_global_stats
 
 
+_KEYS = ("query_id", "score", "conv_id", "turn_idx")
+
+
+def _topk_order(qid: np.ndarray, score: np.ndarray, conv: np.ndarray,
+                turn: np.ndarray, k: int) -> np.ndarray:
+    """Row positions of each query's top-k, grouped by query id ascending,
+    under the pinned order (score desc, conv_id asc, turn_idx asc); one
+    stable lexsort, then a per-query rank cut."""
+    order = np.lexsort((turn, conv, -score, qid))
+    q = qid[order]
+    rank = np.arange(q.size) - np.searchsorted(q, q)  # position within its query
+    return order[rank < k]
+
+
 def merge_topk(frames: pd.DataFrame, k: int) -> pd.DataFrame:
     """Pinned tie-break merge: score desc, then global doc order
-    (conv_id, turn_idx) asc; stable for exact rank-identity."""
+    (conv_id, turn_idx) asc; stable for exact rank-identity.  Extra
+    columns ride along."""
     if frames.empty:
         return frames
-    out = frames.sort_values(
-        ["query_id", "score", "conv_id", "turn_idx"],
-        ascending=[True, False, True, True],
-        kind="mergesort",
-    )
-    return out.groupby("query_id", sort=True).head(k).reset_index(drop=True)
+    order = _topk_order(*(frames[c].to_numpy() for c in _KEYS), k)
+    return frames.iloc[order].reset_index(drop=True)
+
+
+def _merge_rows(tables: list[pa.Table], k: int) -> pd.DataFrame:
+    """``merge_topk`` of the shards' ``RESULT_SCHEMA`` rows: the merge runs
+    on the key arrays and only the survivors become a DataFrame."""
+    t = pa.concat_tables(tables) if tables else RESULT_SCHEMA.empty_table()
+    cols = {c: t[c].to_numpy() for c in RESULT_SCHEMA.names}
+    order = _topk_order(*(cols[c] for c in _KEYS), k)
+    return pd.DataFrame({c: a[order] for c, a in cols.items()})
 
 
 class Searcher:
@@ -91,7 +112,8 @@ class Searcher:
         """The in-process shard over every segment of this generation."""
         if self._local is None:
             readers = open_readers(self.seg_dirs, self.crypto)
-            self._local = Shard(readers, deleted_masks(self.index_dir, self.tombstones, readers))
+            deleted = deleted_masks(self.index_dir, self.tombstones, readers, self.crypto)
+            self._local = Shard(readers, deleted)
         return self._local
 
     def _submit(self, op: str, *args, num_actors: int = 8) -> list:
@@ -122,7 +144,7 @@ class Searcher:
         ``wand`` is ignored: there is one evaluation path; the parameter is
         kept until perfbench drops it (ROADMAP F12)."""
         rows = self._run("topk", {"q": self.prepare(flt, scorer).plan}, k)
-        return merge_topk(_frame(rows), k).drop(columns=["query_id"])
+        return _merge_rows(rows, k).drop(columns=["query_id"])
 
     def count(self, flt: Filter, scorer: ScorerCfg | None = None,
               pooled: bool = False, num_actors: int = 8) -> int:
@@ -181,6 +203,7 @@ class Searcher:
         pay an actor pool's per-process spawn+import (~2 s) before the
         first posting is read.  Repeat callers should use
         ``search_pooled``, whose actors keep their segment shards."""
+        import ray
         import ray.data as rd
 
         if not self.seg_dirs or not queries:
@@ -201,7 +224,7 @@ class Searcher:
             concurrency=concurrency,
             num_cpus=1,
         )
-        return merge_topk(res.to_pandas(), k)
+        return _merge_rows(ray.get(res.to_arrow_refs()), k)
 
     # -- pooled execution: cached persistent QueryPool ---------------------
     def search_pooled(
@@ -225,16 +248,12 @@ class Searcher:
         it down."""
         rows = self._run("topk", self._plans(queries, scorer), k, pooled=True,
                          num_actors=num_actors)
-        return merge_topk(_frame(rows), k)
+        return _merge_rows(rows, k)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-
-def _frame(tables: list[pa.Table]) -> pd.DataFrame:
-    return pa.concat_tables(tables).to_pandas()
 
 
 class PoolShard(Shard):
@@ -253,14 +272,14 @@ class PoolShard(Shard):
             8 << 20, SegmentReader.POSTING_CACHE_BYTES // max(1, len(seg_dirs))
         )
         readers = [SegmentReader(d, cache_bytes=per_reader, crypto=crypto) for d in seg_dirs]
-        super().__init__(readers, deleted_masks(index_dir, tombstones, readers))
+        super().__init__(readers, deleted_masks(index_dir, tombstones, readers, crypto))
         # proxy/caching-filter analog (SURVEY §2.5 bitset/cached iterators):
         # per-actor LRU of evaluated shard results keyed by the plan JSON —
         # repeat queries skip evaluation entirely
-        self._cache: "collections.OrderedDict[tuple, pa.Table]" = collections.OrderedDict()
+        self._cache: "collections.OrderedDict[tuple, tuple]" = collections.OrderedDict()
         self._cache_size = cache_size
 
-    def _plan_topk(self, plan: dict, k: int) -> pa.Table:
+    def _plan_topk(self, plan: dict, k: int) -> tuple:
         key = (json.dumps(plan), k)
         t = self._cache.get(key)
         if t is not None:
@@ -341,7 +360,7 @@ class QueryPool:
         import ray
 
         plans = self.searcher._plans(queries, scorer)
-        return merge_topk(_frame(ray.get(self.submit("topk", plans, k))), k)
+        return _merge_rows(ray.get(self.submit("topk", plans, k)), k)
 
     def shutdown(self) -> None:
         import ray

@@ -349,7 +349,7 @@ def refresh_link(view_dir: str, collection: str, source=None,
     if deletes is not None:
         from iresearch_ray.pipelines.delete import delete_keys
 
-        out["delete"] = delete_keys(d, deletes)
+        out["delete"] = delete_keys(d, deletes, crypto=crypto)
     if source is not None:
         link = view["links"][collection]
         new = source if isinstance(source, list) else [source]

@@ -3,13 +3,18 @@
 The reference's pull-based iterator trees (conjunction leapfrog, disjunction
 heaps — ref: core/search/conjunction.hpp, disjunction.hpp, exclusion.hpp) are
 re-expressed as vectorized numpy set algebra over decoded posting arrays:
-union = concat + unique + bincount-sum (with leg counting for min_match),
-intersection = successive ``np.intersect1d`` ordered by ascending cost (df),
-exclusion = a searchsorted membership mask.  Rank-identity is preserved by pinned float64
-term-at-a-time accumulation and the (score desc, conv_id, turn_idx) total
+union = concat + one ``_sum_by_doc`` aggregation (a dense bincount over the
+doc-id space, with leg counting for min_match; ``np.unique`` only when the
+id space dwarfs the hits), intersection = the smallest leg probed into each
+larger one by ``searchsorted`` (ascending cost, df), exclusion = a
+searchsorted membership mask.  Rank-identity is preserved by pinned float64
+term-at-a-time accumulation (bincount adds in input order, so sums are the
+same as a sort-based reduce) and the (score desc, conv_id, turn_idx) total
 order (SURVEY §2.6 tie-break).
 
-Top-k is exhaustive: ``segment_topk`` scores the whole plan, then cuts to k.
+Top-k is exhaustive: ``segment_topk_docs`` scores the whole plan, then
+cuts to k and returns doc-id and score arrays; ``segment_topk`` wraps them
+in a (conv_id, turn_idx, score) table.
 Posting decodes go through the reader's LRU posting cache, so warm queries
 reuse decoded postings instead of re-reading varint blocks.
 """
@@ -29,6 +34,13 @@ from iresearch_ray.stages.segment import SegmentReader
 
 _EMPTY = (np.empty(0, np.int64), np.empty(0, np.float64))
 
+# Unions aggregate with a dense bincount over the doc-id space (ids are
+# 1..n_docs) while that space is at most this many ids or 4x the hits:
+# O(hits + n_docs) beats np.unique's O(hits log hits) argsort.  Past it
+# (a narrow union over a consolidated mega-segment) the allocation would
+# dominate, so ``_sum_by_doc`` falls back to np.unique.
+DENSE_UNION_IDS = 1 << 20
+
 
 def _member_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     """Membership mask of ``values`` in ``sorted_set`` (both int64, set
@@ -39,6 +51,25 @@ def _member_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(sorted_set, values)
     idx[idx == sorted_set.size] = 0
     return sorted_set[idx] == values
+
+
+def _sum_by_doc(
+    docs: np.ndarray, scores: np.ndarray, min_match: int, n_docs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending unique doc ids, summed scores) of the docs that occur at
+    least ``min_match`` times in ``docs`` — the aggregation of every union.
+    bincount adds each doc's weights in input order, in both branches."""
+    if n_docs <= max(DENSE_UNION_IDS, 4 * docs.size):
+        counts = np.bincount(docs, minlength=n_docs + 1)
+        keep = counts >= max(1, min_match)
+        summed = np.bincount(docs, weights=scores, minlength=n_docs + 1)
+        return np.flatnonzero(keep).astype(np.int64), summed[keep]
+    uniq, inv = np.unique(docs, return_inverse=True)
+    summed = np.bincount(inv, weights=scores, minlength=uniq.size)
+    if min_match > 1:
+        keep = np.bincount(inv, minlength=uniq.size) >= min_match
+        return uniq[keep], summed[keep]
+    return uniq, summed
 
 
 def _tf_factor(tfs, dls, avg_dl, scorer):
@@ -82,11 +113,6 @@ class _TermCursor:
     @property
     def present(self) -> bool:
         return self.row is not None
-
-    def df(self) -> int:
-        if self.row is None:
-            return 0
-        return int(self.reader.terms["df"][self.row].as_py())
 
     def _col(self, name: str):
         return self.reader.terms[name][self.row].as_py()
@@ -203,25 +229,7 @@ def _eval_term_union_bulk(
     scores = (wrep * _tf_factor(tfs, dls_all[docs - 1], avg_dl, scorer)).astype(
         np.float64
     )
-    mm = int(node.get("min_match", 1))
-    n_docs = dls_all.size
-    # dense aggregation: doc ids are 1..n_docs, so bincount over the raw
-    # ids is O(N + n_docs) vs np.unique's O(N log N) argsort.  Guard the
-    # allocation for the sparse case (tiny expansion over a consolidated
-    # mega-segment): fall back to unique when the id space dwarfs N.
-    if n_docs <= max(1 << 20, 4 * docs.size):
-        summed = np.bincount(docs, weights=scores, minlength=n_docs + 1)
-        counts = np.bincount(docs, minlength=n_docs + 1)
-        keep = counts >= mm
-        uniq = np.flatnonzero(keep).astype(np.int64)
-        return uniq, summed[keep]
-    uniq, inv = np.unique(docs, return_inverse=True)
-    summed = np.bincount(inv, weights=scores, minlength=uniq.size)
-    if mm > 1:
-        counts = np.bincount(inv, minlength=uniq.size)
-        keep = counts >= mm
-        return uniq[keep], summed[keep]
-    return uniq, summed
+    return _sum_by_doc(docs, scores, int(node.get("min_match", 1)), dls_all.size)
 
 
 def _geo_column(reader: SegmentReader, field: str):
@@ -264,29 +272,31 @@ def eval_node(
         legs = [(d, s) for d, s in legs if d.size]
         if not legs:
             return _EMPTY
-        docs = np.concatenate([d for d, _ in legs])
-        scores = np.concatenate([s for _, s in legs])
-        uniq, inv = np.unique(docs, return_inverse=True)
-        summed = np.bincount(inv, weights=scores, minlength=uniq.size)
-        mm = int(node.get("min_match", 1))
-        if mm > 1:
-            counts = np.bincount(inv, minlength=uniq.size)
-            keep = counts >= mm
-            return uniq[keep], summed[keep]
-        return uniq, summed
+        return _sum_by_doc(
+            np.concatenate([d for d, _ in legs]),
+            np.concatenate([s for _, s in legs]),
+            int(node.get("min_match", 1)),
+            reader.meta["docs_count"],
+        )
 
     if op == "and":
         if not node["children"]:
             return _EMPTY  # empty conjunction matches nothing (pinned)
         legs = [eval_node(reader, c, scorer, deleted) for c in node["children"]]
-        # leapfrog order: ascending cost == ascending posting length (§2.5)
+        # leapfrog order: ascending cost == ascending posting length (§2.5);
+        # the survivors probe each larger (sorted, unique) leg by binary
+        # search — no concat + argsort of both sides
         legs.sort(key=lambda ds: ds[0].size)
         docs, scores = legs[0]
         for d2, s2 in legs[1:]:
-            docs, ia, ib = np.intersect1d(docs, d2, assume_unique=True, return_indices=True)
-            scores = scores[ia] + s2[ib]
-            if docs.size == 0:
+            if docs.size == 0 or d2.size == 0:
                 return _EMPTY
+            idx = np.searchsorted(d2, docs)
+            idx[idx == d2.size] = 0
+            hit = d2[idx] == docs
+            docs, scores = docs[hit], scores[hit] + s2[idx[hit]]
+        if docs.size == 0:
+            return _EMPTY
         return docs, scores
 
     if op == "not":
@@ -608,7 +618,7 @@ def _eval_same_position(reader: SegmentReader, node: dict, scorer: dict) -> tupl
     doc_sets = [c.decode_all()[0] for c in cursors]
     inter = doc_sets[0]
     for d in doc_sets[1:]:
-        inter = np.intersect1d(inter, d, assume_unique=True)
+        inter = inter[_member_sorted(inter, d)]
         if inter.size == 0:
             return _EMPTY
     SHIFT = np.int64(21)
@@ -693,21 +703,17 @@ def _eval_ngram_similarity(reader: SegmentReader, node: dict, scorer: dict) -> t
     return docs, scores
 
 
-def segment_topk(
+def segment_topk_docs(
     reader: SegmentReader,
     plan: dict,
     k: int,
-    wand: bool = True,
     deleted: np.ndarray | None = None,
-) -> pa.Table:
-    """Evaluate one prepared plan over one segment → local top-k table
-    (conv_id, turn_idx, score) under the pinned total order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one prepared plan over one segment → its local top-k as
+    (doc id array, float64 score array) under the pinned total order.
 
     ``deleted`` is the document-mask side file applied at query time
-    (SURVEY §2.3): True at doc_id-1 excludes the doc from results.
-
-    ``wand`` is ignored: there is one evaluation path; the parameter is
-    kept until perfbench drops it (ROADMAP F12)."""
+    (SURVEY §2.3): True at doc_id-1 excludes the doc from results."""
     docs, scores = _EMPTY
     if k > 0:
         docs, scores = eval_node(reader, plan["root"], plan["scorer"], deleted)
@@ -715,33 +721,47 @@ def segment_topk(
             keep = ~deleted[docs - 1]
             docs, scores = docs[keep], scores[keep]
     if docs.size == 0:
-        return pa.table(
-            {
-                "conv_id": pa.array([], pa.string()),
-                "turn_idx": pa.array([], pa.int32()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
+        return _EMPTY
     if docs.size > k:
         # keep every doc tied with the k-th largest score so the value-based
         # tie-break below stays exact, then order the reduced set
         kth = np.partition(scores, docs.size - k)[docs.size - k]
         sel = np.flatnonzero(scores >= kth)
-        docs_s, scores_s = docs[sel], scores[sel]
-    else:
-        docs_s, scores_s = docs, scores
+        docs, scores = docs[sel], scores[sel]
     conv_all, turn_all = reader.doc_keys
-    conv = conv_all[docs_s - 1]
-    turn = turn_all[docs_s - 1]
     # pinned total order (SURVEY §2.6): score desc, then (conv_id, turn_idx)
     # asc BY VALUE — doc-id order equals it for freshly built segments but
     # not for concat-merged ones, so always tie-break on the values
-    order = np.lexsort((turn, conv, -scores_s))[:k]
+    order = np.lexsort((turn_all[docs - 1], conv_all[docs - 1], -scores))[:k]
+    return docs[order], scores[order]
+
+
+def doc_keys_of(reader: SegmentReader, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(conv_id object array, turn_idx array) of the doc ids ``docs``."""
+    if docs.size == 0:
+        return np.empty(0, object), np.empty(0, np.int32)
+    conv_all, turn_all = reader.doc_keys
+    return conv_all[docs - 1], turn_all[docs - 1]
+
+
+def segment_topk(
+    reader: SegmentReader,
+    plan: dict,
+    k: int,
+    wand: bool = True,
+    deleted: np.ndarray | None = None,
+) -> pa.Table:
+    """``segment_topk_docs`` as a (conv_id, turn_idx, score) table.
+
+    ``wand`` is ignored: there is one evaluation path; the parameter is
+    kept until perfbench drops it (ROADMAP F12)."""
+    docs, score = segment_topk_docs(reader, plan, k, deleted)
+    conv, turn = doc_keys_of(reader, docs)
     return pa.table(
         {
-            "conv_id": pa.array(conv[order], pa.string()),
-            "turn_idx": pa.array(turn[order]).cast(reader.docs_schema.field("turn_idx").type),
-            "score": pa.array(scores_s[order], pa.float64()),
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(turn, reader.docs_schema.field("turn_idx").type),
+            "score": pa.array(score, pa.float64()),
         }
     )
 

@@ -362,7 +362,7 @@ def merge_segments(index_dir: str, seg_names: list[str], generation: int, crypto
         masks = []
         any_deleted = False
         for name, r in zip(seg_names, readers):
-            m = segment_deleted_mask(index_dir, man, name, r)  # vectorized is_in probe
+            m = segment_deleted_mask(index_dir, man, name, r, crypto)  # vectorized is_in probe
             if m is None:
                 m = np.zeros(r.docs.num_rows, dtype=bool)
             masks.append(m)

@@ -16,10 +16,11 @@ Three placements run the same class:
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from iresearch_ray.query.exec import segment_count, segment_topk
+from iresearch_ray.query.exec import doc_keys_of, segment_count, segment_topk_docs
 from iresearch_ray.stages.segment import SegmentReader
 
 RESULT_SCHEMA = pa.schema(
@@ -32,14 +33,14 @@ RESULT_SCHEMA = pa.schema(
 )
 
 
-def deleted_masks(index_dir: str, tombstones: list[dict], readers) -> list:
+def deleted_masks(index_dir: str, tombstones: list[dict], readers, crypto=None) -> list:
     """One deleted-doc mask (or None) per reader from the normalized
     tombstone entries (``delete._entries``), honoring each entry's
-    segment scope."""
+    segment scope; tombstone files are read with ``crypto``."""
     from iresearch_ray.pipelines.delete import segment_deleted_mask
 
     tombs = {"tombstones": tombstones}
-    return [segment_deleted_mask(index_dir, tombs, r.seg_dir, r) for r in readers]
+    return [segment_deleted_mask(index_dir, tombs, r.seg_dir, r, crypto) for r in readers]
 
 
 class Shard:
@@ -53,17 +54,20 @@ class Shard:
     def _segments(self):
         return zip(self.readers, self.deleted)
 
-    def _plan_topk(self, plan: dict, k: int) -> pa.Table:
-        """(conv_id, turn_idx, score): every segment's top-k of ``plan``."""
-        parts = [segment_topk(r, plan, k, deleted=d) for r, d in self._segments()]
-        if not parts:
-            return RESULT_SCHEMA.empty_table().drop_columns(["query_id"])
-        return pa.concat_tables(parts)
+    def _plan_topk(self, plan: dict, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(conv_id, turn_idx, score) arrays: every segment's top-k of
+        ``plan``, concatenated in segment order."""
+        parts = []
+        for r, d in self._segments():
+            docs, score = segment_topk_docs(r, plan, k, d)
+            parts.append((*doc_keys_of(r, docs), score))
+        return _concat_hits(parts)
 
     def topk(self, plans: dict[str, dict], k: int) -> pa.Table:
-        """Per-segment top-k of every named plan, as ``RESULT_SCHEMA`` rows
-        (one table per plan, labelled with its query id)."""
-        return _labelled({qid: self._plan_topk(p, k) for qid, p in plans.items()})
+        """Per-segment top-k of every named plan, as one table of
+        ``RESULT_SCHEMA`` rows labelled with their query ids."""
+        hits = {qid: self._plan_topk(p, k) for qid, p in plans.items()}
+        return _result_table(hits)
 
     def count(self, plan: dict) -> int:
         return sum(segment_count(r, plan, deleted=d) for r, d in self._segments())
@@ -85,17 +89,21 @@ class Shard:
                 f"highlights() needs the index built with store_text=True "
                 f"(stored column {field!r} missing)"
             )
-        frames = []
+        hits, texts, spans = {}, [], []
         for qid, plan in plans.items():
             terms = sorted(plan_terms(plan["root"], field))
+            parts = []
             for r, d in self._segments():
-                t = segment_topk(r, plan, k, deleted=d)
-                f = _labelled({qid: t}).to_pandas()
-                f["text"], f["spans"] = spans_for_hits(r, t, terms, field, source)
-                frames.append(f)
-        if not frames:
-            return RESULT_SCHEMA.empty_table().to_pandas().assign(text=None, spans=None)
-        return pd.concat(frames, ignore_index=True)
+                docs, score = segment_topk_docs(r, plan, k, d)
+                t, sp = spans_for_hits(r, docs, terms, field, source)
+                parts.append((*doc_keys_of(r, docs), score))
+                texts += t
+                spans += sp
+            hits[qid] = _concat_hits(parts)
+        out = _result_table(hits).to_pandas()
+        out["text"] = pd.Series(texts, dtype=object)
+        out["spans"] = pd.Series(spans, dtype=object)
+        return out
 
     def payload_topk(self, field: str, term: str, k: int) -> pd.DataFrame:
         """Per-segment top-k by payload-weight sum (functions/payload.py)."""
@@ -107,15 +115,28 @@ class Shard:
         return pd.concat(parts, ignore_index=True)
 
 
-def _labelled(tables: dict[str, pa.Table]) -> pa.Table:
-    """Prefix each (conv_id, turn_idx, score) table with its query id and
-    stack them as ``RESULT_SCHEMA`` rows."""
-    out = [
-        t.add_column(0, "query_id", pa.repeat(pa.scalar(qid, pa.string()), t.num_rows))
-        .cast(RESULT_SCHEMA)
-        for qid, t in tables.items()
-    ]
-    return pa.concat_tables(out) if out else RESULT_SCHEMA.empty_table()
+def _concat_hits(parts: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate per-segment (conv_id, turn_idx, score) arrays."""
+    if not parts:
+        return np.empty(0, object), np.empty(0, np.int32), np.empty(0, np.float64)
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _result_table(hits: dict[str, tuple]) -> pa.Table:
+    """One ``RESULT_SCHEMA`` table of every query's (conv_id, turn_idx,
+    score) arrays, each row labelled with its query id."""
+    qids = list(hits)
+    conv, turn, score = _concat_hits(list(hits.values()))
+    sizes = [h[0].size for h in hits.values()]
+    return pa.table(
+        [
+            pa.array(np.repeat(np.array(qids, object), sizes), pa.string()),
+            pa.array(conv, pa.string()),
+            pa.array(turn, pa.int32()),
+            pa.array(score, pa.float64()),
+        ],
+        schema=RESULT_SCHEMA,
+    )
 
 
 def search_batch_task(
@@ -132,6 +153,6 @@ def search_batch_task(
         SegmentReader(d, cache_bytes=8 << 20, crypto=crypto)
         for d in batch["seg_dir"].to_pylist()
     ]
-    out = Shard(readers, deleted_masks(index_dir, tombstones, readers)).topk(plans, k)
+    out = Shard(readers, deleted_masks(index_dir, tombstones, readers, crypto)).topk(plans, k)
     report_since("query", mk)
     return out

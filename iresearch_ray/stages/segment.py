@@ -955,25 +955,13 @@ class SegmentReader:
             self.doc_column("turn_idx").to_numpy(zero_copy_only=False),
         ))
 
-    @property
-    def key_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(perm, sorted conv_id, sorted turn_idx): the lexsort view of the
-        doc keys for key -> doc lookups.  Concat-merged segments are not
-        globally key-sorted, so the lookup needs the permutation."""
-        def build():
-            conv_all, turn_all = self.doc_keys
-            perm = np.lexsort((turn_all, conv_all))
-            return perm, conv_all[perm], turn_all[perm]
-
-        return self.memo("key_view", build)
-
 
 def _array_bytes(a: np.ndarray) -> int:
     """Bytes held by an array.  An object array holds pointers to Python
     objects; their size is an estimate: the mean ``sys.getsizeof`` of up
     to 64 evenly spaced elements, times the length.  Objects shared with
-    another array (the key view's sorted copy, deduplicated conv ids) are
-    counted again, so the estimate errs high."""
+    another array (deduplicated conv ids) are counted again, so the
+    estimate errs high."""
     n = a.nbytes
     if a.dtype == object and a.size:
         sample = a[:: max(1, a.size // 64)][:64]

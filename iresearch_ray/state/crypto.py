@@ -38,7 +38,7 @@ import os
 
 import pyarrow.parquet as pq
 
-__all__ = ["IndexEncryption", "parquet_file_any", "read_parquet_any"]
+__all__ = ["IndexEncryption", "parquet_file_any", "read_parquet_any", "require_key"]
 
 
 def _require_encryption_module():
@@ -194,3 +194,13 @@ def read_parquet_any(path: str, crypto: IndexEncryption | None, columns=None):
     if crypto is not None:
         return crypto.read_table(path, columns=columns)
     return pq.read_table(path, memory_map=True, columns=columns)
+
+
+def require_key(manifest: dict, crypto: IndexEncryption | None) -> None:
+    """PermissionError when ``manifest`` lists encrypted segments and no key
+    is given — the clear failure for every keyless reader or writer."""
+    if crypto is None and any(sm.get("encrypted") for sm in manifest["segments"]):
+        raise PermissionError(
+            "index segments are encrypted; pass IndexEncryption "
+            "(e.g. Searcher(index_dir, crypto=IndexEncryption(master_key)))"
+        )

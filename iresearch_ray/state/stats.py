@@ -40,6 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from iresearch_ray.state.crypto import require_key
 from iresearch_ray.state.manifest import segment_dirs
 
 RAY_MERGE_THRESHOLD = 64  # above this many segments, merge dictionaries via Ray
@@ -447,11 +448,7 @@ def build_global_stats(
         _cache.move_to_end(key)
         return hit
 
-    if crypto is None and any(sm.get("encrypted") for sm in manifest["segments"]):
-        raise PermissionError(
-            "index segments are encrypted; pass IndexEncryption "
-            "(e.g. Searcher(index_dir, crypto=IndexEncryption(master_key)))"
-        )
+    require_key(manifest, crypto)
     field_stats: dict[str, dict] = {}
     for seg in manifest["segments"]:
         for f, fs in seg["field_stats"].items():

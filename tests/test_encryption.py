@@ -116,7 +116,8 @@ def test_pooled_serving_on_encrypted_index_with_deletes(ray_session, tmp_path):
     idx = _build(tmp_path, key)
     flt = F.Term("text", "agent")
     victims = Searcher(idx, crypto=key).search_local(flt, k=3)
-    delete_keys(idx, list(zip(victims["conv_id"], victims["turn_idx"].astype(int))))
+    delete_keys(idx, list(zip(victims["conv_id"], victims["turn_idx"].astype(int))),
+                crypto=key)
     s = Searcher(idx, crypto=key)
     try:
         local = s.search_local(flt, k=20)
@@ -132,6 +133,72 @@ def test_pooled_serving_on_encrypted_index_with_deletes(ray_session, tmp_path):
         assert hl.drop(columns=["query_id"]).equals(s.highlights(flt, k=20))
     finally:
         s.close()
+
+
+def test_encrypted_deletes_are_ciphertext_and_still_mask(tmp_path):
+    """Tombstones of an encrypted index are encrypted with its key: no
+    deleted key appears in the raw bytes or file names, a keyless read or
+    delete fails, and search with the key still matches the oracle minus
+    the deleted keys."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from iresearch_ray import IndexEncryption, Searcher
+    from iresearch_ray.pipelines.build import build_index_local
+    from iresearch_ray.pipelines.consolidate import consolidate
+    from iresearch_ray.pipelines.delete import delete_by_filter, delete_keys, update_rows
+    from iresearch_ray.query import filters as F
+    from iresearch_ray.query.oracle import BruteForceOracle
+    from iresearch_ray.sources.transcripts import gen_transcripts
+
+    key = IndexEncryption(KEY)
+    tbl = gen_transcripts(80)
+    idx = str(tmp_path / "idx")
+    build_index_local(tbl, idx, num_partitions=3, crypto=key)
+    flt = F.Or((F.Term("text", "agent"), F.Term("text", "error")))
+    victims = Searcher(idx, crypto=key).search_local(flt, k=4)
+    keys = list(zip(victims["conv_id"], victims["turn_idx"].astype(int)))
+
+    with pytest.raises(PermissionError):
+        delete_keys(idx, keys)
+    with pytest.raises(PermissionError):
+        update_rows(idx, tbl.slice(0, 1))
+    m = delete_keys(idx, keys, crypto=key)
+    assert m["metrics"]["tombstoned_keys"] == len(keys)
+    delete_by_filter(idx, F.Term("role", "tool"), crypto=key)
+    files = glob.glob(os.path.join(idx, "tombstones", "*"))
+    assert len(files) == 2
+    tool_keys = {
+        (c, t) for c, t, r in zip(tbl["conv_id"].to_pylist(), tbl["turn_idx"].to_pylist(),
+                                  tbl["role"].to_pylist()) if r == "tool"
+    }
+    assert tool_keys
+    for p in files:
+        raw = open(p, "rb").read()
+        for conv, _ in keys + sorted(tool_keys):
+            assert conv.encode() not in raw and conv not in os.path.basename(p)
+        with pytest.raises(OSError):
+            pq.read_table(p)
+
+    s = Searcher(idx, crypto=key)
+    dead = set(keys) | tool_keys
+    got = s.search_local(flt, k=15)
+    want = BruteForceOracle(tbl).search(flt, k=100_000)
+    want = want[[(c, t) not in dead for c, t in zip(want["conv_id"], want["turn_idx"])]]
+    want = want.head(15)
+    assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
+        zip(want["conv_id"], want["turn_idx"].astype(int))
+    )
+    np.testing.assert_allclose(got["score"].to_numpy(dtype=float),
+                               want["score"].to_numpy(dtype=float), atol=1e-6, rtol=0)
+    assert s.count(F.Term("role", "tool")) == 0
+
+    # the purge merge reads the encrypted tombstones too
+    consolidate(idx, policy="count", policy_kwargs={"threshold": 2}, gc=True, crypto=key)
+    s2 = Searcher(idx, crypto=key)
+    assert s2.count(F.Term("role", "tool")) == 0
+    assert not dead & set(zip(*(s2.search_local(flt, k=100_000)[c]
+                                for c in ("conv_id", "turn_idx"))))
 
 
 def test_encrypted_consolidation_roundtrip(ray_session, tmp_path):
