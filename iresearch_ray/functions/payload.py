@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 
 from iresearch_ray.functions.codec import decode_payloads, decode_postings
+from iresearch_ray.pipelines.search import merge_topk
 
 
 def _reader_term_payloads(reader, field: str, term: str):
@@ -110,11 +111,7 @@ def reader_payload_topk(reader, field: str, term: str, k: int, deleted=None) -> 
 
 
 def _merge(parts: list[pd.DataFrame], k: int) -> pd.DataFrame:
-    rows = pd.concat(parts, ignore_index=True)
-    rows = rows.sort_values(
-        ["score", "conv_id", "turn_idx"], ascending=[False, True, True]
-    )
-    return rows.head(k).reset_index(drop=True)
+    return merge_topk(pd.concat(parts, ignore_index=True), k)
 
 
 def payload_sum_topk(searcher, field: str, term: str, k: int = 10) -> pd.DataFrame:

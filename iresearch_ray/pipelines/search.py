@@ -35,36 +35,44 @@ from iresearch_ray.state.manifest import load_manifest, segment_dirs
 from iresearch_ray.state.stats import build_global_stats
 
 
-_KEYS = ("query_id", "score", "conv_id", "turn_idx")
+# the pinned tie-break after score desc (SURVEY §2.6)
+_TIES = ("conv_id", "turn_idx")
 
 
-def _topk_order(qid: np.ndarray, score: np.ndarray, conv: np.ndarray,
-                turn: np.ndarray, k: int) -> np.ndarray:
-    """Row positions of each query's top-k, grouped by query id ascending,
-    under the pinned order (score desc, conv_id asc, turn_idx asc); one
-    stable lexsort, then a per-query rank cut."""
-    order = np.lexsort((turn, conv, -score, qid))
+def _topk_order(k: int, qid: np.ndarray | None, score: np.ndarray,
+                *ties: np.ndarray) -> np.ndarray:
+    """Row positions of each query's top-k, grouped by query id ascending
+    (one query when ``qid`` is None), under the pinned order: score desc,
+    then the ``ties`` keys asc, most significant first.  One stable
+    lexsort, then a per-query rank cut."""
+    if qid is None:
+        return np.lexsort((*ties[::-1], -score))[: max(k, 0)]
+    order = np.lexsort((*ties[::-1], -score, qid))
     q = qid[order]
     rank = np.arange(q.size) - np.searchsorted(q, q)  # position within its query
     return order[rank < k]
 
 
-def merge_topk(frames: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Pinned tie-break merge: score desc, then global doc order
-    (conv_id, turn_idx) asc; stable for exact rank-identity.  Extra
-    columns ride along."""
+def merge_topk(frames: pd.DataFrame, k: int, ties: tuple[str, ...] = _TIES) -> pd.DataFrame:
+    """Pinned tie-break merge, per ``query_id`` when the frame has one:
+    score desc, then the ``ties`` columns asc (global doc order
+    (conv_id, turn_idx) by default); stable for exact rank-identity.
+    Extra columns ride along."""
     if frames.empty:
         return frames
-    order = _topk_order(*(frames[c].to_numpy() for c in _KEYS), k)
+    qid = frames["query_id"].to_numpy() if "query_id" in frames.columns else None
+    order = _topk_order(k, qid, frames["score"].to_numpy(),
+                        *(frames[c].to_numpy() for c in ties))
     return frames.iloc[order].reset_index(drop=True)
 
 
-def _merge_rows(tables: list[pa.Table], k: int) -> pd.DataFrame:
-    """``merge_topk`` of the shards' ``RESULT_SCHEMA`` rows: the merge runs
-    on the key arrays and only the survivors become a DataFrame."""
+def _merge_rows(tables: list[pa.Table], k: int, ties: tuple[str, ...] = _TIES) -> pd.DataFrame:
+    """``merge_topk`` of the shards' ``RESULT_SCHEMA`` rows (plus any
+    extra tie-break columns): the merge runs on the key arrays and only
+    the survivors become a DataFrame."""
     t = pa.concat_tables(tables) if tables else RESULT_SCHEMA.empty_table()
-    cols = {c: t[c].to_numpy() for c in RESULT_SCHEMA.names}
-    order = _topk_order(*(cols[c] for c in _KEYS), k)
+    cols = {c: t[c].to_numpy() for c in t.column_names}
+    order = _topk_order(k, cols["query_id"], cols["score"], *(cols[c] for c in ties))
     return pd.DataFrame({c: a[order] for c, a in cols.items()})
 
 
@@ -143,8 +151,14 @@ class Searcher:
         """Top-k of one filter over every segment, in this process.
         ``wand`` is ignored: there is one evaluation path; the parameter is
         kept until perfbench drops it (ROADMAP F12)."""
-        rows = self._run("topk", {"q": self.prepare(flt, scorer).plan}, k)
-        return _merge_rows(rows, k).drop(columns=["query_id"])
+        plan = self.prepare(flt, scorer).plan
+        conv, turn, score = self._shard().topk_arrays({"q": plan}, k)["q"]
+        order = _topk_order(k, None, score, conv, turn)
+        return pd.DataFrame({
+            "conv_id": conv[order],
+            "turn_idx": turn[order].astype(np.int32, copy=False),
+            "score": score[order],
+        })
 
     def count(self, flt: Filter, scorer: ScorerCfg | None = None,
               pooled: bool = False, num_actors: int = 8) -> int:

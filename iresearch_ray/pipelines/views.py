@@ -37,6 +37,7 @@ tables).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -47,7 +48,9 @@ from dataclasses import dataclass, field as _dcfield
 import numpy as np
 import pandas as pd
 
+from iresearch_ray.pipelines.search import Searcher, _merge_rows, merge_topk
 from iresearch_ray.stages.segment import IndexConfig
+from iresearch_ray.state.stats import memo_lru
 
 VIEW_JSON = "view.json"
 _NAME_RE = re.compile(r"^[A-Za-z0-9_\-]{1,128}$")
@@ -413,6 +416,7 @@ class ViewStats:
                 agg["docs_with_field"] += d["docs_with_field"]
                 agg["total_term_freq"] += d["total_term_freq"]
         self.field_stats = fs
+        self._fuzzy_lru: "collections.OrderedDict[tuple, tuple]" = collections.OrderedDict()
 
     @property
     def lazy(self) -> bool:
@@ -445,9 +449,11 @@ class ViewStats:
         return _merge_sum([c.match_terms(field_name, batch_fn) for c in self.children])
 
     def fuzzy_terms(self, field_name: str, q: str, d: int, with_transpositions: bool = False):
-        return _merge_sum([
-            c.fuzzy_terms(field_name, q, d, with_transpositions) for c in self.children
-        ])
+        return memo_lru(self._fuzzy_lru, (field_name, q, d, with_transpositions),
+                        lambda: _merge_sum([
+                            c.fuzzy_terms(field_name, q, d, with_transpositions)
+                            for c in self.children
+                        ]))
 
     def field_terms(self, field_name: str):
         return _merge_sum([c.field_terms(field_name) for c in self.children])
@@ -458,21 +464,15 @@ class ViewStats:
 # ---------------------------------------------------------------------------
 
 
+# the engine tie-break extended by the collection name, so the
+# cross-collection order is total
+_VIEW_TIES = ("collection", "conv_id", "turn_idx")
+
+
 def _merge_view_topk(frames: list, k: int) -> pd.DataFrame:
-    """Engine tie-break (score desc, conv_id, turn_idx asc) extended by the
-    collection name so the cross-collection order is total."""
-    allf = pd.concat(frames, ignore_index=True)
-    if allf.empty:
-        return allf
-    by = ["query_id"] if "query_id" in allf.columns else []
-    out = allf.sort_values(
-        by + ["score", "collection", "conv_id", "turn_idx"],
-        ascending=[True] * len(by) + [False, True, True, True],
-        kind="mergesort",
-    )
-    if by:
-        return out.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    return out.head(k).reset_index(drop=True)
+    """Engine merge (score desc, then ``_VIEW_TIES`` asc) of per-link
+    frames."""
+    return merge_topk(pd.concat(frames, ignore_index=True), k, _VIEW_TIES)
 
 
 class ViewSearcher:
@@ -483,8 +483,6 @@ class ViewSearcher:
     after warm-up, links fan out concurrently)."""
 
     def __init__(self, view_dir: str, crypto=None):
-        from iresearch_ray.pipelines.search import Searcher
-
         self.view_dir = view_dir
         self.view = load_view(view_dir)
         self.collections = sorted(self.view["links"])
@@ -552,12 +550,11 @@ class ViewSearcher:
             s = self.searchers[c]
             plans = s._plans(queries, scorer)
             pending.append((c, s._submit("topk", plans, k, num_actors=per_link)))
-        frames = []
+        tables = []
         for c, refs in pending:
-            t = pa.concat_tables(ray.get(refs)).to_pandas()
-            t.insert(0, "collection", c)
-            frames.append(t)
-        return _merge_view_topk(frames, k)
+            t = pa.concat_tables(ray.get(refs))
+            tables.append(t.add_column(0, "collection", pa.array([c] * t.num_rows, pa.string())))
+        return _merge_rows(tables, k, _VIEW_TIES)
 
     def close(self) -> None:
         for s in self.searchers.values():

@@ -16,7 +16,14 @@ Top-k is exhaustive: ``segment_topk_docs`` scores the whole plan, then
 cuts to k and returns doc-id and score arrays; ``segment_topk`` wraps them
 in a (conv_id, turn_idx, score) table.
 Posting decodes go through the reader's LRU posting cache, so warm queries
-reuse decoded postings instead of re-reading varint blocks.
+reuse decoded postings instead of re-reading varint blocks.  The same
+byte-bounded LRU holds each term leg's impacts: the per-posting scoring
+factor (BM25 ``tf·(k1+1)/(tf + k1·(1−b+b·dl/avg_dl))``, float64), computed
+lazily on a leg's first use and keyed by (term row, avg_dl, scorer name,
+k1, b) and a custom scorer's ``tf_factor`` function.  A term leg then
+scores with one multiply by its idf weight; a generation with a new
+avg_dl misses and recomputes.  Phrase, same-position and ngram legs
+compute tf per query and are not cached.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from iresearch_ray.functions.codec import (
     decode_postings,
     varint_decode,
 )
-from iresearch_ray.functions.score import bm25_tf_factor
+from iresearch_ray.functions.score import SCORERS, bm25_tf_factor
 from iresearch_ray.stages.segment import SegmentReader
 
 _EMPTY = (np.empty(0, np.int64), np.empty(0, np.float64))
@@ -80,8 +87,6 @@ def _tf_factor(tfs, dls, avg_dl, scorer):
         return s / np.sqrt(dls.astype(np.float64))
     if name != "bm25":
         # custom scorer via the registry (SURVEY §2.11 REGISTER_SCORER analog)
-        from iresearch_ray.functions.score import SCORERS
-
         return SCORERS[name]["tf_factor"](
             tfs.astype(np.float64),
             dls.astype(np.float64),
@@ -92,6 +97,38 @@ def _tf_factor(tfs, dls, avg_dl, scorer):
     return bm25_tf_factor(
         tfs.astype(np.float64), dls.astype(np.float64), avg_dl, scorer["k1"], scorer["b"]
     )
+
+
+def _impacts(
+    reader: SegmentReader, field: str, avg_dl: float, scorer: dict,
+    rows: list[int], postings: list[tuple],
+) -> list[np.ndarray]:
+    """The per-posting factor ``_tf_factor(tfs, dls[docs - 1])`` of each
+    term row in ``rows`` (``postings`` holds their decoded (docs, tfs)).
+
+    Impacts are cached lazily in the reader's posting LRU, under the
+    posting budget, keyed by (term row, avg_dl, scorer name, k1, b) and,
+    for a registered custom scorer, its ``tf_factor`` function — a
+    re-registration under the same name misses.  The rows that miss are
+    scored in one vectorized pass; the factor is elementwise, so the
+    split arrays equal per-row ones bit for bit."""
+    name = scorer["name"]
+    fn = None if name in ("bm25", "tfidf") else SCORERS[name]["tf_factor"]
+    keys = [("impact", r, avg_dl, name, scorer["k1"], scorer["b"], fn) for r in rows]
+    out = [reader.cached(key) for key in keys]
+    miss = [i for i, hit in enumerate(out) if hit is None]
+    if miss:
+        docs = np.concatenate([postings[i][0] for i in miss])
+        tfs = np.concatenate([postings[i][1] for i in miss])
+        f = np.asarray(
+            _tf_factor(tfs, _field_dls(reader, field)[docs - 1], avg_dl, scorer), np.float64
+        )
+        parts = np.split(f, np.cumsum([postings[i][0].size for i in miss])[:-1])
+        for i, part in zip(miss, parts):
+            # a lone miss keeps the whole array; split views would pin it
+            out[i] = (part if len(miss) == 1 else part.copy(),)
+            reader.cache_put(keys[i], out[i])
+    return [o[0] for o in out]
 
 
 def _field_dls(reader: SegmentReader, field_name: str) -> np.ndarray:
@@ -202,34 +239,27 @@ def _eval_term_union_bulk(
     ok = dict_terms[pos_c] == q
     if not ok.any():
         return _EMPTY
-    rows = idx[pos_c[ok]].astype(np.int64)
+    rows = [int(r) for r in idx[pos_c[ok]]]
     kept = [c for c, o in zip(children, ok) if o]
-    decoded = reader.bulk_postings([int(r) for r in rows])
-    dls_all = _field_dls(reader, field)
-    avg_dl = kept[0]["avg_dl"]
-    # ONE scoring pass for the whole expansion (r5): the old per-term loop
-    # called _tf_factor once per term — 100+ tiny numpy calls per segment
-    # dominated wide prefix/wildcard latency (p95 profile).  Concatenate
-    # every leg's postings, repeat the per-term weights over the leg
-    # lengths, score in a single vectorized kernel.
-    doc_arrays, tf_arrays, weights, lens = [], [], [], []
-    for c, r in zip(kept, rows):
-        docs, tfs = decoded[int(r)]
-        if docs.size == 0:
-            continue
-        doc_arrays.append(docs)
-        tf_arrays.append(tfs)
-        weights.append(c["weight"])
-        lens.append(docs.size)
-    if not doc_arrays:
+    decoded = reader.bulk_postings(rows)
+    # ONE scoring pass for the whole expansion: every leg's cached impacts
+    # are concatenated and multiplied by the per-term weights repeated
+    # over the leg lengths (a per-term multiply loop is 100+ tiny numpy
+    # calls per segment on wide prefix/wildcard expansions)
+    legs = [(c, r) for c, r in zip(kept, rows) if decoded[r][0].size]
+    if not legs:
         return _EMPTY
-    docs = np.concatenate(doc_arrays)
-    tfs = np.concatenate(tf_arrays)
-    wrep = np.repeat(np.asarray(weights, np.float64), np.asarray(lens))
-    scores = (wrep * _tf_factor(tfs, dls_all[docs - 1], avg_dl, scorer)).astype(
-        np.float64
+    impacts = _impacts(
+        reader, field, legs[0][0]["avg_dl"], scorer,
+        [r for _, r in legs], [decoded[r] for _, r in legs],
     )
-    return _sum_by_doc(docs, scores, int(node.get("min_match", 1)), dls_all.size)
+    docs = np.concatenate([decoded[r][0] for _, r in legs])
+    wrep = np.repeat(
+        np.asarray([c["weight"] for c, _ in legs], np.float64),
+        [decoded[r][0].size for _, r in legs],
+    )
+    scores = wrep * np.concatenate(impacts)
+    return _sum_by_doc(docs, scores, int(node.get("min_match", 1)), reader.meta["docs_count"])
 
 
 def _geo_column(reader: SegmentReader, field: str):
@@ -256,9 +286,10 @@ def eval_node(
         docs, tfs = cur.decode_all()
         if docs.size == 0:
             return _EMPTY
-        dls = _field_dls(reader, node["field"])[docs - 1]
-        scores = node["weight"] * _tf_factor(tfs, dls, node["avg_dl"], scorer)
-        return docs, scores.astype(np.float64)
+        (impact,) = _impacts(
+            reader, node["field"], node["avg_dl"], scorer, [cur.row], [(docs, tfs)]
+        )
+        return docs, node["weight"] * impact
 
     if op == "union":
         children = node["children"]

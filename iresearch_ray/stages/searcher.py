@@ -63,11 +63,16 @@ class Shard:
             parts.append((*doc_keys_of(r, docs), score))
         return _concat_hits(parts)
 
+    def topk_arrays(self, plans: dict[str, dict], k: int) -> dict[str, tuple]:
+        """Per-segment top-k of every named plan: query id → its
+        (conv_id, turn_idx, score) arrays."""
+        return {qid: self._plan_topk(p, k) for qid, p in plans.items()}
+
     def topk(self, plans: dict[str, dict], k: int) -> pa.Table:
-        """Per-segment top-k of every named plan, as one table of
-        ``RESULT_SCHEMA`` rows labelled with their query ids."""
-        hits = {qid: self._plan_topk(p, k) for qid, p in plans.items()}
-        return _result_table(hits)
+        """``topk_arrays`` as one table of ``RESULT_SCHEMA`` rows labelled
+        with their query ids — the transport format of pool actors and
+        Ray tasks."""
+        return _result_table(self.topk_arrays(plans, k))
 
     def count(self, plan: dict) -> int:
         return sum(segment_count(r, plan, deleted=d) for r, d in self._segments())

@@ -787,13 +787,19 @@ class SegmentReader:
             )
         return hit
 
-    def cached_postings(self, row: int, decode):
-        """LRU decoded (docs, tfs) per term row, bounded by bytes."""
-        hit = self._posting_cache.get(row)
+    def cached(self, key):
+        """The posting-cache entry under ``key`` (a tuple of arrays), or
+        None; a hit becomes the most recently used entry."""
+        hit = self._posting_cache.get(key)
         if hit is not None:
-            self._posting_cache.move_to_end(row)
-            return hit
-        out = decode()
+            self._posting_cache.move_to_end(key)
+        return hit
+
+    def cache_put(self, key, out: tuple) -> None:
+        """Keep ``out`` under ``key`` in the byte-bounded posting LRU,
+        evicting the least recently used entries to make room."""
+        if key in self._posting_cache:
+            return
         nbytes = sum(getattr(a, "nbytes", 0) for a in out)
         # per-item cap budget//2 (was //4): a consolidated mega-segment's
         # hottest stopword POSITION array is the single most expensive
@@ -807,9 +813,17 @@ class SegmentReader:
             ):
                 _k, old = self._posting_cache.popitem(last=False)  # LRU evict
                 self._posting_cache_bytes -= sum(getattr(a, "nbytes", 0) for a in old)
-            self._posting_cache[row] = out
+            self._posting_cache[key] = out
             self._posting_cache_bytes += nbytes
-        return out
+
+    def cached_postings(self, key, decode):
+        """LRU decoded (docs, tfs) per term row — or any tuple of arrays
+        derived from one term row, under ``key`` — bounded by bytes."""
+        hit = self.cached(key)
+        if hit is None:
+            hit = decode()
+            self.cache_put(key, hit)
+        return hit
 
     def bulk_postings(self, rows: list[int]) -> dict[int, tuple]:
         """Decoded (docs, tfs) for MANY term rows with ONE Arrow take/
@@ -822,7 +836,7 @@ class SegmentReader:
         out: dict[int, tuple] = {}
         need: list[int] = []
         for r in dict.fromkeys(rows):
-            hit = self._posting_cache.get(r)
+            hit = self.cached(r)
             if hit is not None:
                 out[r] = hit
             else:

@@ -69,6 +69,23 @@ _cache: "_collections.OrderedDict[tuple[str, int], GlobalStats]" = _collections.
 _STAGE_SEQ = itertools.count()
 
 
+# fuzzy expansions memoized per stats object (one generation, or one view)
+FUZZY_LRU = 4096
+
+
+def memo_lru(cache: "_collections.OrderedDict", key, build, cap: int = FUZZY_LRU):
+    """``cache[key]``, built by ``build()`` on a miss; the least recently
+    used entries are dropped past ``cap``."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = build()
+        while len(cache) > cap:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return hit
+
+
 class GlobalStats:
     """Mode-agnostic probes over the merged term dictionary.
 
@@ -92,6 +109,7 @@ class GlobalStats:
         self._df_lru: "_collections.OrderedDict[tuple[str, str], int]" = (
             _collections.OrderedDict()
         )
+        self._fuzzy_lru: "_collections.OrderedDict[tuple, tuple]" = _collections.OrderedDict()
         self._lazy_ds = None
         self._units: list[tuple[str, int, int]] | None = None
 
@@ -319,7 +337,13 @@ class GlobalStats:
         Levenshtein trie walk over the SORTED dictionary
         (filters.fuzzy_sorted_indices) — O(viable prefixes), not O(vocab),
         in eager mode; in lazy mode the walk runs per streamed sorted batch
-        (I/O stays O(vocab) but CPU drops to O(viable per batch))."""
+        (I/O stays O(vocab) but CPU drops to O(viable per batch)).
+        Memoized per (field, q, d, transpositions): the stats of one
+        generation never change, and fuzzy query streams repeat."""
+        return memo_lru(self._fuzzy_lru, (field_name, q, d, with_transpositions),
+                        lambda: self._fuzzy_terms(field_name, q, d, with_transpositions))
+
+    def _fuzzy_terms(self, field_name: str, q: str, d: int, with_transpositions: bool):
         from iresearch_ray.query.filters import fuzzy_sorted_indices
 
         if not self.lazy:

@@ -1,7 +1,10 @@
 """The array kernels of the query path: the driver merge (``merge_topk`` /
 ``_merge_rows``) against the pandas sort + groupby reference it replaced,
-and both branches of the union aggregation ``_sum_by_doc`` against the
-brute-force oracle."""
+both branches of the union aggregation ``_sum_by_doc`` against the
+brute-force oracle, the keys of the per-segment impact cache, the
+``search_local`` frame contract and the fuzzy expansion memo."""
+
+import os
 
 import numpy as np
 import pandas as pd
@@ -171,3 +174,153 @@ def test_and_with_empty_and_disjoint_legs(tmp_path):
     got = _assert_oracle(s, oracle, F.And((_T("alpha"), _T("beta"), _T("gamma"))), k=20)
     assert len(got) == 4
     _assert_oracle(s, oracle, F.And((_T("gamma"), _T("alpha"))), k=20)
+
+
+# -- impact cache ------------------------------------------------------------
+
+IMPACT_QUERIES = {
+    "term": _T("the"),
+    "and": F.And((_T("the"), _T("agent"))),
+    "prefix": F.Prefix("text", "w030"),  # the bulk union
+    "fuzzy": F.Fuzzy("text", "agent", 1),
+}
+
+
+def _fresh_searcher(monkeypatch, d):
+    """A Searcher whose readers are opened anew, not taken from the
+    process-level reader cache."""
+    import collections
+
+    from iresearch_ray.stages import segment
+
+    monkeypatch.setattr(segment, "_READERS", collections.OrderedDict())
+    return Searcher(d)
+
+
+def test_impact_cache_follows_avg_dl_across_generations(tmp_path, monkeypatch, ray_session):
+    """Impacts cached under one generation's avg_dl are not served to the
+    next generation, whose Searcher reuses the same segment readers."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from iresearch_ray.pipelines.build import append_index
+    from iresearch_ray.sources.transcripts import gen_transcripts_range
+
+    base = gen_transcripts(120)
+    d = str(tmp_path / "idx")
+    build_index_local(base, d, num_partitions=3)
+    s1 = Searcher(d)
+    before = {n: s1.search_local(q, k=10) for n, q in IMPACT_QUERIES.items()}
+
+    # doubled texts: the appended docs move the field's avg_dl
+    batch = gen_transcripts_range(1000, 1030)
+    text = batch["text"]
+    batch = batch.set_column(batch.schema.get_field_index("text"), "text",
+                             pc.binary_join_element_wise(text, text, " "))
+    os.makedirs(tmp_path / "batch")
+    pq.write_table(batch, str(tmp_path / "batch" / "part.parquet"))
+    append_index(str(tmp_path / "batch"), d, num_partitions=1)
+
+    s2 = Searcher(d)
+    assert s2.stats.field("text")[1] != s1.stats.field("text")[1]
+    shared = {id(r) for r in s1._shard().readers} & {id(r) for r in s2._shard().readers}
+    assert len(shared) == 3, "the new generation did not reuse the old readers"
+    fresh = _fresh_searcher(monkeypatch, d)
+    oracle = BruteForceOracle(pa.concat_tables([base, batch]))
+    changed = 0
+    for name, q in IMPACT_QUERIES.items():
+        got = s2.search_local(q, k=10)
+        assert got.equals(fresh.search_local(q, k=10)), name
+        _assert_oracle(s2, oracle, q)
+        changed += not got.equals(before[name])
+    assert changed
+
+
+def test_impact_cache_keeps_scorers_apart(monkeypatch, corpus):
+    """bm25 and tfidf plans on the same readers each score as on a fresh
+    reader and as the oracle does, in either order."""
+    searcher, _ = corpus
+    tbl = gen_transcripts(120)
+    tfidf = F.ScorerCfg("tfidf")
+    scorers = [(None, BruteForceOracle(tbl)), (tfidf, BruteForceOracle(tbl, scorer=tfidf))]
+    fresh = _fresh_searcher(monkeypatch, searcher.index_dir)
+    for q in IMPACT_QUERIES.values():
+        for scorer, oracle in scorers * 2:
+            got = searcher.search_local(q, k=10, scorer=scorer)
+            assert got.equals(fresh.search_local(q, k=10, scorer=scorer)), (q, scorer)
+            want = oracle.search(q, k=10)
+            assert list(got["conv_id"]) == list(want["conv_id"]), (q, scorer)
+            np.testing.assert_allclose(got["score"].to_numpy(), want["score"].to_numpy(dtype=float),
+                                       atol=1e-6, rtol=0)
+
+
+def test_reregistered_custom_scorer_takes_effect(corpus):
+    """A custom scorer re-registered under the same name is used by the
+    next query, in the term and the bulk-union paths."""
+    from iresearch_ray.functions.score import SCORERS, register_scorer
+
+    searcher, _ = corpus
+    cfg = F.ScorerCfg("kernel_const")
+    queries = (_T("the"), F.Prefix("text", "w030"))
+    base = {}
+    try:
+        for factor in (1.0, 3.0, 0.5):
+            register_scorer(
+                "kernel_const", idf=lambda n, N: 2.0,
+                tf_factor=lambda tf, dl, avg_dl, k1, b, f=factor: np.full(np.shape(tf), f),
+            )
+            for q in queries:
+                # a prefix union sums one 2·factor per matched expansion
+                got = searcher.search_local(q, k=5, scorer=cfg)
+                want = base.setdefault(str(q), got)
+                assert len(got) and list(got["conv_id"]) == list(want["conv_id"])
+                assert (got["score"] == factor * want["score"]).all(), (q, factor)
+        assert (base[str(queries[0])]["score"] == 2.0).all()
+    finally:
+        SCORERS.pop("kernel_const", None)
+
+
+# -- search_local frame contract --------------------------------------------
+
+@pytest.mark.parametrize("flt,k,hits", [
+    (_T("agent"), 10, True),
+    (F.Or((_T("the"), _T("w0300"))), 7, True),
+    (_T("nosuchword"), 10, False),  # no hits in any segment
+    (_T("the"), 0, False),
+])
+def test_search_local_frame_contract(corpus, flt, k, hits):
+    """search_local merges the shard's arrays directly; the frame equals the
+    merge of the same shard's RESULT_SCHEMA rows."""
+    searcher, _ = corpus
+    got = searcher.search_local(flt, k=k)
+    assert list(got.columns) == ["conv_id", "turn_idx", "score"]
+    assert [str(t) for t in got.dtypes] == ["object", "int32", "float64"]
+    rows = searcher._shard().topk({"q": searcher.prepare(flt).plan}, k)
+    want = merge_topk(rows.to_pandas(), k).drop(columns=["query_id"])
+    assert got.equals(want)
+    assert len(got) == (k if hits else 0)
+
+
+# -- fuzzy expansion memo ---------------------------------------------------
+
+def test_fuzzy_expansions_memoized_per_generation(tmp_path):
+    from iresearch_ray.pipelines.delete import delete_keys
+    from iresearch_ray.pipelines.views import ViewStats
+
+    tbl = gen_transcripts(40)
+    d = str(tmp_path / "idx")
+    build_index_local(tbl, d, num_partitions=2)
+    stats = Searcher(d).stats
+    first = stats.fuzzy_terms("text", "agent", 1)
+    again = stats.fuzzy_terms("text", "agent", 1)
+    assert len(first[0]) and all(a is b for a, b in zip(first, again))
+    assert stats.fuzzy_terms("text", "agent", 2)[0].size >= first[0].size
+    view = ViewStats([stats, stats])
+    v1 = view.fuzzy_terms("text", "agent", 1)
+    assert all(a is b for a, b in zip(v1, view.fuzzy_terms("text", "agent", 1)))
+    assert np.array_equal(v1[1], 2 * first[1])
+
+    delete_keys(d, [(tbl["conv_id"][0].as_py(), 0)])
+    new = Searcher(d).stats
+    assert new is not stats and len(new._fuzzy_lru) == 0
+    assert all(np.array_equal(a, b) for a, b in zip(new.fuzzy_terms("text", "agent", 1), first))
