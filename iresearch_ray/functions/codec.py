@@ -17,7 +17,10 @@ Layout per term (all stored as Arrow columns in terms.parquet):
 - ``block_last_doc``, ``block_off``, ``pos_off``, ``block_doc_count``:
   int64 lists, one entry per block.
 
-Everything is vectorized numpy; no per-byte python loops.
+Everything is vectorized numpy; no per-byte python loops.  Reads decode
+whole rows: ``decode_postings_bulk`` decodes any set of term rows in one
+varint pass over numpy views of the terms table (``PostingColumns``), and
+``decode_postings`` is its one-row call on a bare blob.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
 BLOCK_SIZE = 128  # docs per posting block (ref: formats_10.cpp block size 128)
 
@@ -364,45 +368,114 @@ def encode_postings_bulk(
     }
 
 
+@dataclass
+class PostingColumns:
+    """Numpy views of a terms table's ``doc_blob`` and ``block_doc_count``
+    columns: the blobs' data bytes and value offsets, the flattened block
+    counts and the list offsets into them.  Zero-copy over a one-chunk
+    column; a multi-chunk one (a multi-part terms dir) is combined once."""
+
+    data: np.ndarray        # uint8, every row's doc_blob bytes back to back
+    offsets: np.ndarray     # row r's bytes: data[offsets[r]:offsets[r + 1]]
+    counts: np.ndarray      # int64, every row's block_doc_count back to back
+    blk_offsets: np.ndarray  # row r's counts: counts[blk_offsets[r]:blk_offsets[r + 1]]
+
+    @classmethod
+    def of(cls, doc_blob, block_doc_count) -> "PostingColumns":
+        blobs = _one_chunk(doc_blob)
+        lists = _one_chunk(block_doc_count)
+        _, offs_buf, data_buf = blobs.buffers()
+        n = len(blobs)
+        offs = np.frombuffer(
+            offs_buf, np.int64 if pa.types.is_large_binary(blobs.type) else np.int32
+        )[blobs.offset : blobs.offset + n + 1]
+        data = np.frombuffer(data_buf, np.uint8) if data_buf is not None else np.empty(0, np.uint8)
+        blk = np.frombuffer(lists.buffers()[1], np.int32)[lists.offset : lists.offset + n + 1]
+        return cls(data, offs, lists.values.to_numpy(zero_copy_only=False), blk)
+
+
+def _one_chunk(arr):
+    """A ChunkedArray as one Array (zero-copy when it has one chunk)."""
+    if isinstance(arr, pa.ChunkedArray):
+        return arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
+    return arr
+
+
+def _gather(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``values[lo[i]:hi[i]]`` for every i, back to back."""
+    if lo.size == 1:
+        return values[lo[0] : hi[0]]
+    lens = hi - lo
+    return values[np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(int(lens.sum()))]
+
+
+def decode_postings_bulk(
+    cols: PostingColumns, rows: list[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Decode the full posting lists of term ``rows`` → one (doc_ids, tfs)
+    pair per row.
+
+    Every blob is a concatenation of per-block (deltas, tfs) varint runs
+    and ends on a varint terminator, so the rows' bytes, gathered back to
+    back, decode in ONE ``varint_decode`` pass (no per-row bytes objects).
+    The rows' block counts mark each value as a delta or a tf — block b
+    holds ``count[b]`` deltas, then ``count[b]`` tfs — and one cumsum over
+    all deltas, minus the running total at each row start, gives absolute
+    doc ids: a block's first delta is relative to the previous block's last
+    doc, a row's first to 0.  Merged segments' blocks are NOT uniformly
+    BLOCK_SIZE at source-segment seams (the blob-concat merge, SURVEY §3.3),
+    which is why the counts are read, not assumed.
+
+    Rows come back as copies of their slices, so a cached row does not pin
+    the whole batch; a one-row call returns the decoded arrays as is."""
+    rows = np.asarray(rows, dtype=np.int64)
+    blk_lo, blk_hi = cols.blk_offsets[rows], cols.blk_offsets[rows + 1]
+    counts = _gather(cols.counts, blk_lo, blk_hi).astype(np.int64, copy=False)
+    # values < 2^63: the uint64 decode reinterprets as int64 for free
+    vals = varint_decode(_gather(cols.data, cols.offsets[rows], cols.offsets[rows + 1]))
+    vals = vals.view(np.int64)
+    if vals.size != 2 * int(counts.sum()):
+        raise ValueError(f"posting blobs hold {vals.size} varints for {int(counts.sum())} docs")
+    if counts.size == 1:  # one block (a rare term): no mask needed
+        tfs = vals[counts[0]:]
+        docs = np.cumsum(vals[: counts[0]])
+    else:
+        # block b's values: count[b] deltas, then count[b] tfs
+        is_tf = np.zeros(2 * counts.size, dtype=bool)
+        is_tf[1::2] = True
+        is_tf = np.repeat(is_tf, np.repeat(counts, 2))
+        tfs = vals[is_tf]
+        docs = np.cumsum(vals[~is_tf])
+    if rows.size == 1:
+        return [(docs, tfs)]
+    bounds = np.concatenate(([0], np.cumsum(counts)))[
+        np.concatenate(([0], np.cumsum(blk_hi - blk_lo)))
+    ]
+    # segmented cumsum: subtract the running total before each row
+    docs -= np.repeat(np.concatenate(([0], docs))[bounds[:-1]], np.diff(bounds))
+    return [
+        (docs[s:e].copy(), tfs[s:e].copy())
+        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
 def decode_postings(
     doc_blob: bytes, block_doc_count: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a FULL posting blob → (doc_ids, tfs).
-
-    The blob is a concatenation of per-block (deltas, tfs) varint runs; since
-    each block's first delta is relative to the previous block's last doc, the
-    concatenated delta stream cumsums to absolute ids directly when decoded in
-    order.  We decode all varints at once, then split per block by count.
+    """Decode ONE full posting blob → (doc_ids, tfs): the one-row call of
+    :func:`decode_postings_bulk`.
 
     ``block_doc_count`` must be passed for merged segments, whose blocks are
-    NOT uniformly BLOCK_SIZE at source-segment seams (the blob-concat merge,
-    SURVEY §3.3); omitted, uniform 128-doc blocks are assumed.
-    """
-    vals = varint_decode(doc_blob).astype(np.int64)
-    n = vals.size // 2
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+    NOT uniformly BLOCK_SIZE at source-segment seams; omitted, uniform
+    128-doc blocks are assumed (the count of docs is half the number of
+    varint terminators in the blob)."""
+    data = np.frombuffer(doc_blob, dtype=np.uint8)
     if block_doc_count is None:
-        nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-        counts = np.minimum(
-            np.full(nblocks, BLOCK_SIZE, dtype=np.int64),
-            n - np.arange(nblocks, dtype=np.int64) * BLOCK_SIZE,
-        )
-    else:
-        counts = np.asarray(block_doc_count, dtype=np.int64)
-    doc_ids = np.empty(n, dtype=np.int64)
-    tfs = np.empty(n, dtype=np.int64)
-    vi = 0
-    s = 0
-    for cnt in counts:
-        cnt = int(cnt)
-        e = s + cnt
-        doc_ids[s:e] = vals[vi : vi + cnt]
-        tfs[s:e] = vals[vi + cnt : vi + 2 * cnt]
-        vi += 2 * cnt
-        s = e
-    np.cumsum(doc_ids, out=doc_ids)
-    return doc_ids, tfs
+        n = int((data < 128).sum()) // 2
+        block_doc_count = np.diff(np.append(np.arange(0, n, BLOCK_SIZE), n))
+    counts = np.asarray(block_doc_count, dtype=np.int64)
+    cols = PostingColumns(data, np.array([0, data.size]), counts, np.array([0, counts.size]))
+    return decode_postings_bulk(cols, [0])[0]
 
 
 def decode_positions(

@@ -77,16 +77,10 @@ def _index_doc_spans(reader, row: int, doc_id: int) -> list[tuple[int, int]]:
     that block's offsets, slice the doc's occurrences."""
     import numpy as np
 
-    from iresearch_ray.functions.codec import decode_offsets, decode_postings
+    from iresearch_ray.functions.codec import decode_offsets
 
     t = reader.terms
-    docs_all, tfs_all = reader.cached_postings(
-        row,
-        lambda: decode_postings(
-            t["doc_blob"][row].as_py(),
-            np.asarray(t["block_doc_count"][row].as_py(), dtype=np.int64),
-        ),
-    )
+    docs_all, tfs_all = reader.bulk_postings([row])[row]
     i = int(np.searchsorted(docs_all, doc_id))
     if i >= docs_all.size or docs_all[i] != doc_id:
         return []

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from iresearch_ray.functions.codec import decode_payloads, decode_postings
+from iresearch_ray.functions.codec import decode_payloads
 from iresearch_ray.pipelines.search import merge_topk
 
 
@@ -39,10 +39,7 @@ def _reader_term_payloads(reader, field: str, term: str):
         )
     cnt = np.asarray(t["block_doc_count"][row].as_py(), dtype=np.int64)
     pay_off = np.asarray(t["pay_off"][row].as_py(), dtype=np.int64)
-    docs, tfs = reader.cached_postings(
-        row,
-        lambda: decode_postings(t["doc_blob"][row].as_py(), cnt),
-    )
+    docs, tfs = reader.bulk_postings([row])[row]
     pays: list[bytes] = []
     for b in range(cnt.size):
         pays += decode_payloads(pay_blob, pay_off, tfs, b, cnt.size, cnt)

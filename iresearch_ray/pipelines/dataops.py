@@ -1362,6 +1362,8 @@ def near_dedup(
         return _near_dedup_distributed(ds, labels, text_col, id_col)
 
     pairs_df = pairs.to_pandas()
+    if pairs_df.empty:
+        return ds  # zero pairs (an empty input too): every doc survives
     roots = cluster_pairs(zip(pairs_df["a"], pairs_df["b"]))
     if not roots:
         return ds

@@ -441,9 +441,11 @@ def funnel(ds, steps: tuple[str, ...], user_col: str = "user_id"):
     hist = shard_groups(
         ds.map_batches(prune, batch_format="pyarrow"), user_col, reached_hist, hist_schema
     ).to_pandas()
-    # n_users at step i = users with steps_reached >= i (suffix sum)
+    # n_users at step i = users with steps_reached >= i (suffix sum); a
+    # 0-row histogram (empty input) converts to a frame without columns
     total = np.zeros(len(step_list) + 1, dtype=np.int64)
-    np.add.at(total, hist["step"].to_numpy(np.int64), hist["n"].to_numpy(np.int64))
+    if not hist.empty:
+        np.add.at(total, hist["step"].to_numpy(np.int64), hist["n"].to_numpy(np.int64))
     suffix = np.cumsum(total[::-1])[::-1]
     return pa.table(
         {

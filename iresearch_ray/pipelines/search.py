@@ -336,21 +336,25 @@ class QueryPool:
         seg_dirs = self.searcher.seg_dirs
         # cap by schedulable CPUs: requesting more num_cpus=1 actors than the
         # cluster has would deadlock the first ray.get on small clusters.
-        # Leave 2 CPUs of headroom on small clusters: a pool that pins EVERY
-        # CPU starves any Dataset stage scheduled while it lives (observed:
-        # an 8-CPU correctness session deadlocked when cached pools summed
-        # to 8 actors and the next query's map_batches tasks could never
-        # start).  On big clusters the reserve is negligible.
+        # Leave CPUs unreserved — 2 on clusters over 2 CPUs, else 1: a pool
+        # that pins EVERY CPU starves any Dataset stage scheduled while it
+        # lives (observed: an 8-CPU correctness session deadlocked when
+        # cached pools summed to 8 actors and the next query's map_batches
+        # tasks could never start; a 2-CPU cluster's 2-actor pool left
+        # ``search_ray`` waiting forever).  On big clusters the reserve is
+        # negligible.
         try:
             cluster_cpus = int(ray.cluster_resources().get("CPU", num_actors))
         except Exception:
             cluster_cpus = num_actors
-        if cluster_cpus > 2:
-            cluster_cpus -= 2
+        spare = max(0, cluster_cpus - (2 if cluster_cpus > 2 else 1))
+        # an actor never reserves more than the spare CPUs (none on a
+        # 1-CPU cluster, whose one actor then reserves nothing)
+        num_cpus = min(num_cpus, spare)
         # budget in ACTORS, not CPUs: each actor reserves `num_cpus`, so a
         # num_cpus=2 pool capped only by actor count could still reserve
         # 2× the cluster and recreate the starvation deadlock.
-        cpu_budget = max(1, int(cluster_cpus / max(float(num_cpus), 1e-9)))
+        cpu_budget = max(1, int(spare / num_cpus)) if num_cpus else 1
         num_actors = max(1, min(num_actors, max(1, len(seg_dirs)), cpu_budget))
         shards = [seg_dirs[i::num_actors] for i in range(num_actors)]
         shards = [sh for sh in shards if sh]

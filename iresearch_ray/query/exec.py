@@ -22,8 +22,23 @@ factor (BM25 ``tf·(k1+1)/(tf + k1·(1−b+b·dl/avg_dl))``, float64), computed
 lazily on a leg's first use and keyed by (term row, avg_dl, scorer name,
 k1, b) and a custom scorer's ``tf_factor`` function.  A term leg then
 scores with one multiply by its idf weight; a generation with a new
-avg_dl misses and recomputes.  Phrase, same-position and ngram legs
-compute tf per query and are not cached.
+avg_dl misses and recomputes.  Every same-field union of term legs (an
+``Or`` of terms, a prefix/wildcard/fuzzy expansion) decodes its missing
+rows in one bulk pass (``_eval_term_union_bulk``).
+
+Positions are token offsets.  Each reader memoizes ``tok_base =
+concat([0], cumsum(dl + 1))``, and a term's occurrences are cached once,
+in the same LRU, as the sorted offsets ``tok_base[doc-1] + pos``.  The
+``+1`` leaves a separator slot after every doc that no token occupies,
+so occupied offsets ``j`` apart always lie in one doc: an exact phrase
+keeps the anchors ``a`` with slot j's term at ``a + j`` and never needs a
+doc check.  The doc of an offset is ``searchsorted(tok_base, offset,
+side="right")``; its position is ``offset - tok_base[doc-1]``.  Each slot
+probes the candidates through a scratch bool mask over the offsets, or by
+``searchsorted`` when the candidates are much fewer than the slot's
+offsets or the mask would outgrow its inputs (``_dense_probe``, one fixed
+rule).  Phrase, same-position and ngram legs compute tf per query; their
+offsets are cached, their scores are not.
 """
 
 from __future__ import annotations
@@ -31,11 +46,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from iresearch_ray.functions.codec import (
-    decode_positions,
-    decode_postings,
-    varint_decode,
-)
+from iresearch_ray.functions.codec import varint_decode
 from iresearch_ray.functions.score import SCORERS, bm25_tf_factor
 from iresearch_ray.stages.segment import SegmentReader
 
@@ -140,72 +151,83 @@ def _field_dls(reader: SegmentReader, field_name: str) -> np.ndarray:
     return np.ones(reader.meta["docs_count"], dtype=np.int64)
 
 
+def _tok_base(reader: SegmentReader, field: str) -> np.ndarray:
+    """Token-offset base of every doc of ``field``, memoized per reader:
+    ``concat([0], cumsum(dl + 1))``.  Doc d's tokens sit at offsets
+    ``tok_base[d-1] .. tok_base[d-1] + dl - 1``, and ``tok_base[d] - 1`` is
+    a separator slot that no token occupies, so two offsets ``j`` apart
+    that are both occupied always lie in one doc, and the doc of an offset
+    is ``searchsorted(tok_base, offset, side="right")``."""
+    return reader.memo(
+        ("tok_base", field),
+        lambda: np.concatenate(([0], np.cumsum(_field_dls(reader, field) + 1))),
+    )
+
+
 class _TermCursor:
-    """One leg's decoded state (lazy)."""
+    """One term leg of one segment: its decoded (docs, tfs) and, for the
+    positional operators, its token offsets.  Both decode lazily and stay
+    in the reader's posting LRU."""
 
     def __init__(self, reader: SegmentReader, node: dict):
         self.reader = reader
+        self.field = node["field"]
         self.row = reader.term_row(node["field"], node["term"])
 
     @property
     def present(self) -> bool:
         return self.row is not None
 
-    def _col(self, name: str):
-        return self.reader.terms[name][self.row].as_py()
-
     def decode_all(self) -> tuple[np.ndarray, np.ndarray]:
         if self.row is None:
             return np.empty(0, np.int64), np.empty(0, np.int64)
-        return self.reader.cached_postings(
-            self.row,
-            lambda: decode_postings(
-                self._col("doc_blob"),
-                np.asarray(self._col("block_doc_count"), dtype=np.int64),
-            ),
-        )
+        hit = self.reader.cached(self.row)
+        return hit if hit is not None else self.reader.bulk_postings([self.row])[self.row]
 
-    def packed_keys(self, sel_docs: np.ndarray) -> np.ndarray:
-        """Sorted packed ``doc<<21 | pos`` keys for the selected (sorted)
-        docs — fully vectorized: the whole pos stream is one self-delimiting
-        varint sequence with per-doc delta resets, so it decodes in one pass
-        and segments by doc with a segmented cumsum (no per-doc python
-        loop).  The PACKED array (one int64 per occurrence — half the bytes
-        of separate label/pos arrays, and exactly what phrase intersection
-        consumes) is cached per term row under the reader's posting-cache
-        budget; re-queries skip both the decode and the per-query pack.
-        When the selection covers every doc (stopword slots — the expensive
-        case), the cached array is returned ZERO-COPY."""
-        all_docs, all_tfs = self.decode_all()
-        if all_docs.size == 0 or sel_docs.size == 0:
+    def offsets(self) -> np.ndarray:
+        """Sorted token offsets ``tok_base[doc-1] + pos`` of every
+        occurrence (see ``_tok_base``) — the one positional form every
+        phrase, same-position and ngram kernel reads.  The pos stream is one
+        self-delimiting varint sequence with per-doc delta resets, so it
+        decodes in one pass and rebases per doc with a segmented cumsum.
+        One int64 per occurrence, cached per term row under the reader's
+        posting-cache budget.  Raises ValueError when a position is not
+        below its doc's length (the offsets of two docs would overlap) or
+        the field indexed no positions."""
+        docs, tfs = self.decode_all()
+        if docs.size == 0:
             return np.empty(0, np.int64)
 
         def _decode():
-            deltas = varint_decode(self._col("pos_blob")).astype(np.int64)
-            # segmented cumsum: absolute positions within each doc's slice
-            starts = np.concatenate(([0], np.cumsum(all_tfs)[:-1]))
+            pos_blob = self.reader.terms["pos_blob"][self.row].as_py()
+            deltas = varint_decode(pos_blob).astype(np.int64)
+            if deltas.size != int(tfs.sum()):
+                raise ValueError(
+                    f"field {self.field!r} has no positions indexed "
+                    "(built with IndexConfig(positions=False)?)"
+                )
+            ends = np.cumsum(tfs)
             cs = np.cumsum(deltas)
-            base = np.repeat(cs[starts] - deltas[starts], all_tfs)
-            pos = cs - base
-            if pos.size and int(pos.max()) >= (1 << 21):
-                raise ValueError("position exceeds 2^21 — phrase key packing invalid")
-            return ((np.repeat(all_docs, all_tfs) << np.int64(21)) | pos,)
+            before = cs[ends - tfs] - deltas[ends - tfs]  # running total at doc start
+            # positions ascend within a doc: the last one is the largest
+            if (cs[ends - 1] - before >= _field_dls(self.reader, self.field)[docs - 1]).any():
+                raise ValueError("position not below its doc's length — token offsets invalid")
+            base = _tok_base(self.reader, self.field)[docs - 1]
+            return (cs + np.repeat(base - before, tfs),)
 
-        (packed,) = self.reader.cached_postings(("pos", self.row), _decode)
-        if sel_docs is all_docs:
-            return packed  # unrestricted selection: skip the membership pass
-        member = _member_sorted(all_docs, sel_docs)
-        if member.all():
-            return packed
-        return packed[np.repeat(member, all_tfs)]
+        return self.reader.cached_postings(("off", self.row), _decode)[0]
 
     def flat_positions(self, sel_docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_label, position) flat arrays for the selected (sorted) docs —
-        unpacked view of ``packed_keys`` (callers that loop per candidate
-        doc, e.g. ngram similarity, want the split form; phrase/same-position
-        consume the packed keys directly)."""
-        keys = self.packed_keys(sel_docs)
-        return keys >> np.int64(21), keys & np.int64((1 << 21) - 1)
+        """(doc id, position) of every occurrence in the selected (sorted)
+        docs — the split form ngram similarity loops over per candidate."""
+        docs, tfs = self.decode_all()
+        off = self.offsets()
+        if off.size == 0 or sel_docs.size == 0:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        off = off[np.repeat(_member_sorted(docs, sel_docs), tfs)]
+        base = _tok_base(self.reader, self.field)
+        doc = np.searchsorted(base, off, side="right")
+        return doc, off - base[doc - 1]
 
 
 def _present_rows(reader: SegmentReader, field: str, terms: list[str]) -> list[int]:
@@ -224,10 +246,13 @@ def _present_rows(reader: SegmentReader, field: str, terms: list[str]) -> list[i
 def _eval_term_union_bulk(
     reader: SegmentReader, node: dict, scorer: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Wide multiterm union (prefix/wildcard/fuzzy expansions): resolve all
-    term rows with one searchsorted, decode all blobs with one bulk Arrow
-    take, then the usual counting merge — replaces per-leg _TermCursor
-    cell access, which dominates wall time past ~100 legs."""
+    """Every same-field union of term legs — an ``Or`` of terms or a
+    prefix/wildcard/fuzzy expansion: resolve all term rows with one
+    searchsorted, decode the uncached ones with one bulk Arrow take and
+    one varint pass, score all legs with one multiply, then the usual
+    counting merge.  Scores equal a per-leg evaluation bit for bit: both
+    multiply ``weight * impact`` elementwise and concatenate the legs in
+    children order."""
     children = node["children"]
     field = children[0]["field"]
     dict_terms, idx = reader.field_terms(field)
@@ -242,10 +267,6 @@ def _eval_term_union_bulk(
     rows = [int(r) for r in idx[pos_c[ok]]]
     kept = [c for c, o in zip(children, ok) if o]
     decoded = reader.bulk_postings(rows)
-    # ONE scoring pass for the whole expansion: every leg's cached impacts
-    # are concatenated and multiplied by the per-term weights repeated
-    # over the leg lengths (a per-term multiply loop is 100+ tiny numpy
-    # calls per segment on wide prefix/wildcard expansions)
     legs = [(c, r) for c, r in zip(kept, rows) if decoded[r][0].size]
     if not legs:
         return _EMPTY
@@ -254,11 +275,16 @@ def _eval_term_union_bulk(
         [r for _, r in legs], [decoded[r] for _, r in legs],
     )
     docs = np.concatenate([decoded[r][0] for _, r in legs])
-    wrep = np.repeat(
-        np.asarray([c["weight"] for c, _ in legs], np.float64),
-        [decoded[r][0].size for _, r in legs],
-    )
-    scores = wrep * np.concatenate(impacts)
+    weights = [c["weight"] for c, _ in legs]
+    if len(legs) * 1024 <= docs.size:
+        # long legs (an Or of common terms): one multiply per leg, then the
+        # concat — no extra full-length pass for the repeated weights
+        scores = np.concatenate([w * imp for w, imp in zip(weights, impacts)])
+    else:
+        # many short legs (wide expansions): one multiply in all, not 100+
+        # tiny numpy calls per segment
+        scores = np.repeat(np.asarray(weights, np.float64), [i.size for i in impacts])
+        scores *= np.concatenate(impacts)
     return _sum_by_doc(docs, scores, int(node.get("min_match", 1)), reader.meta["docs_count"])
 
 
@@ -294,7 +320,7 @@ def eval_node(
     if op == "union":
         children = node["children"]
         if (
-            len(children) > 8
+            children
             and all(c["op"] == "term" for c in children)
             and len({c["field"] for c in children}) == 1
         ):
@@ -520,6 +546,67 @@ def _unordered_tf(pos_lists: list[np.ndarray], slop: int) -> int:
     return tf
 
 
+def _dense_probe(n_cand: int, n_slot: int, universe: int) -> bool:
+    """Probe candidates against a slot through a bool mask over the token
+    offsets, or by binary search?  The mask pays O(universe + slot) and
+    wins unless the candidates are much fewer than the slot's offsets
+    (searchsorted: O(cand log slot)).  Its size is bounded like
+    ``_sum_by_doc``'s dense branch, so a consolidated mega-segment's token
+    count never sets the allocation for a narrow probe."""
+    return 16 * n_cand >= n_slot and universe <= max(DENSE_UNION_IDS, 4 * (n_cand + n_slot))
+
+
+def _anchors(slots: list[list[_TermCursor]], shifts: list[int], universe: int) -> np.ndarray:
+    """Sorted anchors ``a`` such that, for every slot j, ``a + shifts[j]``
+    is an offset of one of slot j's terms.  The slot with the fewest
+    occurrences seeds the candidates; each other slot, fewest first, keeps
+    the candidates it holds — marked in a scratch bool mask (cleared after
+    each slot) or probed by ``_member_sorted``, per ``_dense_probe``.  A
+    slot's offsets decode only when it is reached.  Offsets all lie below
+    ``universe``."""
+    sizes = [sum(int(c.decode_all()[1].sum()) for c in cursors) for cursors in slots]
+    order = sorted(range(len(slots)), key=sizes.__getitem__)
+    seed = [c.offsets() for c in slots[order[0]]]
+    cand = (seed[0] if len(seed) == 1 else np.unique(np.concatenate(seed))) - shifts[order[0]]
+    if shifts[order[0]]:
+        cand = cand[cand >= 0]
+    mask = None
+    for j in order[1:]:
+        if cand.size == 0:
+            break
+        probe = cand + shifts[j]
+        arrays = [c.offsets() for c in slots[j]]
+        if _dense_probe(cand.size, sizes[j], universe):
+            if mask is None:
+                mask = np.zeros(universe + max(shifts) + 1, dtype=bool)
+            for arr in arrays:
+                mask[arr] = True
+            hit = mask[probe]
+            for arr in arrays:
+                mask[arr] = False
+        else:
+            hit = _member_sorted(probe, arrays[0])
+            for arr in arrays[1:]:
+                hit |= _member_sorted(probe, arr)
+        cand = cand[hit]
+    return cand
+
+
+def _hits_per_doc(tok_base: np.ndarray, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending doc ids, hits per doc) of sorted token offsets: one
+    searchsorted against the doc bases, then run boundaries."""
+    doc = np.searchsorted(tok_base, hits, side="right")
+    start = np.flatnonzero(np.concatenate(([True], doc[1:] != doc[:-1])))
+    return doc[start], np.diff(np.append(start, doc.size))
+
+
+def _tf_scores(reader, node, scorer, docs, tf) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, weight × tf factor) of a positional leg's per-doc tf."""
+    dls = _field_dls(reader, node["field"])[docs - 1]
+    scores = node["weight"] * _tf_factor(tf, dls, node["avg_dl"], scorer)
+    return docs, scores.astype(np.float64)
+
+
 def _eval_phrase(reader: SegmentReader, node: dict, scorer: dict) -> tuple[np.ndarray, np.ndarray]:
     parts: list[list[str]] = node.get("parts")
     if parts is None:
@@ -535,138 +622,77 @@ def _eval_phrase(reader: SegmentReader, node: dict, scorer: dict) -> tuple[np.nd
         if not cursors:
             return _EMPTY
         slots.append(cursors)
-    slot_doc_sets = []
-    for cursors in slots:
-        if len(cursors) == 1:
-            slot_doc_sets.append(cursors[0].decode_all()[0])
-        else:
-            slot_doc_sets.append(np.unique(np.concatenate([c.decode_all()[0] for c in cursors])))
-    inter = slot_doc_sets[0]
-    for d in slot_doc_sets[1:]:
-        # both sides sorted+unique: membership searchsorted beats
-        # intersect1d's concat+argsort
-        inter = inter[_member_sorted(inter, d)]
-        if inter.size == 0:
-            return _EMPTY
-    # flat (doc, pos) keys: key = doc<<21 | pos (positions < 2^21 per doc —
-    # enforced at encode time by dl bounds); one membership pass per slot
-    SHIFT = np.int64(21)
-
-    def slot_keys(j: int, restrict: bool = True) -> np.ndarray:
-        # Restricting a slot's keys to the intersected docs pays only when
-        # the intersection is SELECTIVE; for stopword slots inter ≈ the
-        # slot's own doc set and the restriction costs two extra passes
-        # over the largest arrays (a member searchsorted + a masked copy).
-        # Passing the slot's own doc set returns the cached packed array
-        # ZERO-COPY instead.  Correctness is unchanged either way for the
-        # ordered chain: a key can only survive the chain if its doc has a
-        # key in EVERY slot, i.e. is in `inter`.
-        arrays = []
-        for c in slots[j]:
-            own = c.decode_all()[0]
-            sel = inter if (restrict or inter.size * 2 < own.size) else own
-            arrays.append(c.packed_keys(sel))
-        if len(arrays) == 1:
-            return arrays[0]
-        return np.unique(np.concatenate(arrays))
-
+    tok_base = _tok_base(reader, node["field"])
     slop = int(node.get("slop", 0))
     ordered = bool(node.get("ordered", True))
     n_slots = len(slots)
 
+    if ordered and slop == 0:
+        # exact phrase: anchors a with slot j's term at a + j
+        hits = _anchors(slots, list(range(n_slots)), int(tok_base[-1]))
+        if hits.size == 0:
+            return _EMPTY
+        return _tf_scores(reader, node, scorer, *_hits_per_doc(tok_base, hits))
+
+    def slot_offsets(j: int) -> np.ndarray:
+        arrays = [c.offsets() for c in slots[j]]
+        return arrays[0] if len(arrays) == 1 else np.unique(np.concatenate(arrays))
+
     if not ordered and slop >= 0 and n_slots > 1:
         # unordered window (transposition-tolerant): per-candidate-doc
-        # matching — candidate sets are already slot-intersected small
-        keys = [slot_keys(j) for j in range(n_slots)]
+        # matching over the docs every slot occurs in
+        inter = None
+        for cursors in slots:
+            d = [c.decode_all()[0] for c in cursors]
+            d = d[0] if len(d) == 1 else np.unique(np.concatenate(d))
+            inter = d if inter is None else inter[_member_sorted(inter, d)]
+        if inter.size == 0:
+            return _EMPTY
+        lo_base, hi_base = tok_base[inter - 1], tok_base[inter]
+        keys = [slot_offsets(j) for j in range(n_slots)]
+        bounds = [(np.searchsorted(k, lo_base), np.searchsorted(k, hi_base)) for k in keys]
         tf_out = np.zeros(inter.size, dtype=np.int64)
-        mask = np.int64((1 << 21) - 1)
-        for i, doc in enumerate(inter):
-            pls = []
-            base = np.int64(doc) << SHIFT
-            for kj in keys:
-                lo = np.searchsorted(kj, base)
-                hi = np.searchsorted(kj, base + (np.int64(1) << SHIFT))
-                pls.append((kj[lo:hi] & mask).astype(np.int64))
+        for i in range(inter.size):
+            pls = [k[lo[i]:hi[i]] - lo_base[i] for k, (lo, hi) in zip(keys, bounds)]
             tf_out[i] = _unordered_tf(pls, slop)
         keep = tf_out > 0
-        docs = inter[keep]
-        if docs.size == 0:
+        if not keep.any():
             return _EMPTY
-        dls = _field_dls(reader, node["field"])[docs - 1]
-        scores = node["weight"] * _tf_factor(tf_out[keep], dls, node["avg_dl"], scorer)
-        return docs, scores.astype(np.float64)
+        return _tf_scores(reader, node, scorer, inter[keep], tf_out[keep])
 
-    cand_keys = slot_keys(0, restrict=False)
-    if slop == 0:
-        for j in range(1, n_slots):
-            if cand_keys.size == 0:
-                return _EMPTY
-            keys_j = slot_keys(j, restrict=False)
-            # merge-intersect two sorted UNIQUE key arrays: radix ('stable')
-            # sort of the concat + adjacent-equal scan beats per-element
-            # binary search ~1.5× (sequential passes, no random probes).
-            # Each matched value appears exactly twice, so the dup scan IS
-            # the intersection; candidates stay anchored at slot 0 (−j).
-            c = np.concatenate([cand_keys + j, keys_j])
-            c.sort(kind="stable")
-            cand_keys = c[:-1][c[1:] == c[:-1]] - j
-    else:
-        # greedy ordered-window chain: advance each candidate to the SMALLEST
-        # next-slot position in (prev, prev+1+slop].  Greedy earliest-advance
-        # IS the pinned slop semantics (a documented divergence from Lucene
-        # move-count slop — see Phrase docstring); it does NOT claim to keep
-        # every completable window chain.  One searchsorted pass per slot.
-        for j in range(1, n_slots):
-            if cand_keys.size == 0:
-                return _EMPTY
-            keys_j = slot_keys(j, restrict=False)
-            lo = np.searchsorted(keys_j, cand_keys + 1, side="left")
-            ok = lo < keys_j.size
-            nxt = keys_j[np.minimum(lo, keys_j.size - 1)]
-            ok &= nxt <= cand_keys + 1 + slop  # same doc guaranteed: key gap
-            ok &= (nxt >> SHIFT) == (cand_keys >> SHIFT)
-            cand_keys = np.unique(nxt[ok])
-    if cand_keys.size == 0:
+    # greedy ordered-window chain: advance each candidate to the SMALLEST
+    # next-slot offset in (prev, prev+1+slop] within its doc.  Greedy
+    # earliest-advance IS the pinned slop semantics (a documented divergence
+    # from Lucene move-count slop — see Phrase docstring); it does NOT claim
+    # to keep every completable window chain.  One searchsorted pass per slot.
+    cand = slot_offsets(0)
+    for j in range(1, n_slots):
+        if cand.size == 0:
+            return _EMPTY
+        keys_j = slot_offsets(j)
+        lo = np.searchsorted(keys_j, cand + 1, side="left")
+        ok = lo < keys_j.size
+        nxt = keys_j[np.minimum(lo, keys_j.size - 1)]
+        ok &= nxt <= cand + 1 + slop
+        # same doc: below the next doc's base (nxt > cand)
+        ok &= nxt < tok_base[np.searchsorted(tok_base, cand, side="right")]
+        cand = np.unique(nxt[ok])
+    if cand.size == 0:
         return _EMPTY
-    hit_docs = cand_keys >> SHIFT
-    pos_in_inter = np.searchsorted(inter, hit_docs)
-    tf_out = np.bincount(pos_in_inter, minlength=inter.size).astype(np.int64)
-    keep = tf_out > 0
-    docs = inter[keep]
-    if docs.size == 0:
-        return _EMPTY
-    dls = _field_dls(reader, node["field"])[docs - 1]
-    scores = node["weight"] * _tf_factor(tf_out[keep], dls, node["avg_dl"], scorer)
-    return docs, scores.astype(np.float64)
+    return _tf_scores(reader, node, scorer, *_hits_per_doc(tok_base, cand))
 
 
 def _eval_same_position(reader: SegmentReader, node: dict, scorer: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Same-position co-occurrence: phrase machinery with offset 0 — one
-    vectorized key intersection per extra term (SURVEY §2.4 phase-3)."""
+    """Same-position co-occurrence: the exact-phrase kernel with every
+    slot at shift 0 — the offsets all terms share (SURVEY §2.4 phase-3)."""
     cursors = [_TermCursor(reader, {**node, "term": t}) for t in node["terms"]]
-    if any(not c.present for c in cursors):
+    if not cursors or any(not c.present for c in cursors):
         return _EMPTY
-    doc_sets = [c.decode_all()[0] for c in cursors]
-    inter = doc_sets[0]
-    for d in doc_sets[1:]:
-        inter = inter[_member_sorted(inter, d)]
-        if inter.size == 0:
-            return _EMPTY
-    SHIFT = np.int64(21)
-    cand_keys = cursors[0].packed_keys(inter)
-    for j in range(1, len(cursors)):
-        if cand_keys.size == 0:
-            return _EMPTY
-        cand_keys = cand_keys[_member_sorted(cand_keys, cursors[j].packed_keys(inter))]
-    if cand_keys.size == 0:
+    tok_base = _tok_base(reader, node["field"])
+    hits = _anchors([[c] for c in cursors], [0] * len(cursors), int(tok_base[-1]))
+    if hits.size == 0:
         return _EMPTY
-    hit_docs = cand_keys >> SHIFT
-    tf = np.bincount(np.searchsorted(inter, hit_docs), minlength=inter.size).astype(np.int64)
-    keep = tf > 0
-    docs = inter[keep]
-    dls = _field_dls(reader, node["field"])[docs - 1]
-    scores = node["weight"] * _tf_factor(tf[keep], dls, node["avg_dl"], scorer)
-    return docs, scores.astype(np.float64)
+    return _tf_scores(reader, node, scorer, *_hits_per_doc(tok_base, hits))
 
 
 def _eval_ngram_similarity(reader: SegmentReader, node: dict, scorer: dict) -> tuple[np.ndarray, np.ndarray]:

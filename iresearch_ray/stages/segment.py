@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 
 from iresearch_ray.functions.analysis import TextAnalyzer, explode_text_arrow, get_analyzer
 from iresearch_ray.functions.numeric import trie_terms as numeric_trie_terms
-from iresearch_ray.functions.codec import encode_postings
+from iresearch_ray.functions.codec import PostingColumns, decode_postings_bulk, encode_postings
 
 TERMS_SCHEMA = pa.schema(
     [
@@ -764,6 +764,7 @@ class SegmentReader:
         self._memo_bytes = 0
         self._posting_cache: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
         self._posting_cache_bytes = 0
+        self._posting_cols: PostingColumns | None = None
 
     def loaded_bytes(self) -> int:
         """Approximate memory held by what this reader has loaded so far:
@@ -802,10 +803,10 @@ class SegmentReader:
             return
         nbytes = sum(getattr(a, "nbytes", 0) for a in out)
         # per-item cap budget//2 (was //4): a consolidated mega-segment's
-        # hottest stopword POSITION array is the single most expensive
-        # decode (~100s of MB); with the packed-key halving it now fits —
-        # caching it turns every repeat phrase query's dominant cost into a
-        # zero-copy hit, at worst evicting everything else once
+        # hottest stopword token-offset array (one int64 per occurrence) is
+        # the single most expensive decode (~100s of MB); caching it turns
+        # every repeat phrase query's dominant cost into a zero-copy hit,
+        # at worst evicting everything else once
         if nbytes < self._cache_budget // 2:
             while (
                 self._posting_cache
@@ -817,8 +818,9 @@ class SegmentReader:
             self._posting_cache_bytes += nbytes
 
     def cached_postings(self, key, decode):
-        """LRU decoded (docs, tfs) per term row — or any tuple of arrays
-        derived from one term row, under ``key`` — bounded by bytes."""
+        """The tuple of arrays derived from one term row under ``key`` (a
+        term's token offsets, ...), from the byte-bounded LRU or from
+        ``decode()`` on a miss."""
         hit = self.cached(key)
         if hit is None:
             hit = decode()
@@ -826,13 +828,10 @@ class SegmentReader:
         return hit
 
     def bulk_postings(self, rows: list[int]) -> dict[int, tuple]:
-        """Decoded (docs, tfs) for MANY term rows with ONE Arrow take/
-        to_pylist round-trip for the uncached blobs — the wide-multiterm
-        read path (per-row .as_py() cell access dominates wall time when a
-        wildcard expands to hundreds of terms).  Respects the posting
-        cache."""
-        from iresearch_ray.functions.codec import decode_postings
-
+        """Decoded (docs, tfs) for MANY term rows: the rows the posting
+        cache misses decode together in ONE varint pass over numpy views
+        of the terms table (``codec.decode_postings_bulk``) — the read path
+        of every term leg, a wildcard's hundreds of terms included."""
         out: dict[int, tuple] = {}
         need: list[int] = []
         for r in dict.fromkeys(rows):
@@ -842,16 +841,16 @@ class SegmentReader:
             else:
                 need.append(r)
         if need:
-            sub = self.terms.select(["doc_blob", "block_doc_count"]).take(pa.array(need))
-            blobs = sub["doc_blob"].to_pylist()
-            counts = sub["block_doc_count"].to_pylist()
-            for r, blob, cnt in zip(need, blobs, counts):
-                out[r] = self.cached_postings(
-                    r,
-                    lambda blob=blob, cnt=cnt: decode_postings(
-                        blob, np.asarray(cnt, dtype=np.int64)
-                    ),
+            if self._posting_cols is None:
+                # views of the terms table: its bytes already count in
+                # loaded_bytes, so this is not a memo
+                self._posting_cols = PostingColumns.of(
+                    self.terms["doc_blob"], self.terms["block_doc_count"]
                 )
+            decoded = decode_postings_bulk(self._posting_cols, need)
+            for r, hit in zip(need, decoded):
+                self.cache_put(r, hit)
+                out[r] = hit
         return out
 
     @property

@@ -223,6 +223,61 @@ def test_pool_leaves_dataset_headroom(ray_built):
         pool.shutdown()
 
 
+_TWO_CPU_POOL_THEN_TASKS = """
+import sys
+
+import ray
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         object_store_memory=100 << 20, logging_level="ERROR")
+from iresearch_ray.pipelines.build import build_index_local
+from iresearch_ray.pipelines.search import Searcher
+from iresearch_ray.query import filters as F
+from iresearch_ray.sources.transcripts import gen_transcripts
+
+build_index_local(gen_transcripts(60), sys.argv[1], num_partitions=4)
+s = Searcher(sys.argv[1])
+q = {"q": F.Term("text", "the")}
+pooled = s.search_pooled(q, k=5, num_actors=2)
+tasks = s.search_ray(q, k=5)  # scheduled while the pool lives
+assert pooled.equals(tasks), (pooled, tasks)
+print("actors", len(s._pool.actors))
+s.close()
+ray.shutdown()
+"""
+
+
+def test_pool_leaves_a_cpu_for_search_ray_on_two_cpus(tmp_path, ray_session):
+    """On a 2-CPU cluster a 2-actor pool request gets one actor, so a later
+    ``search_ray`` on the same Searcher still schedules its tasks.  Runs in
+    its own Ray cluster in a subprocess with a timeout, so a regression
+    fails instead of hanging; the 4-CPU session keeps its 2 actors."""
+    import subprocess
+    import sys
+
+    from iresearch_ray import QueryPool
+    from iresearch_ray.pipelines.build import build_index_local
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("RAY_ADDRESS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _TWO_CPU_POOL_THEN_TASKS, str(tmp_path / "idx2")],
+        capture_output=True, text=True, timeout=240, env=env,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert "actors 1" in out.stdout
+
+    d = str(tmp_path / "idx4")
+    build_index_local(gen_transcripts(60), d, num_partitions=4)
+    pool = QueryPool(d, num_actors=8)
+    try:
+        assert len(pool.actors) == 2
+    finally:
+        pool.shutdown()
+
+
 def test_pool_result_cache(ray_built):
     """Proxy/caching-filter analog: repeat identical queries hit the
     per-worker LRU and return identical results."""

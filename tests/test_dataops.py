@@ -346,6 +346,15 @@ def test_near_dedup_keeps_best_per_cluster(dup_corpus, ray_session):
     assert len(got_ids) <= len(set(texts)) - len(losers) + 2
 
 
+def test_near_dedup_of_empty_input(docs_tbl, ray_session):
+    """Zero rows in, zero rows out, as the brute-force clusters say (the
+    0-row pair frame has no columns to read)."""
+    empty = docs_tbl.schema.empty_table()
+    out = ops.near_dedup(_ds(empty, ray_session), threshold=0.5).to_pandas()
+    roots = ops.cluster_pairs(_brute_jaccard_pairs({}, 3, 0.5).keys())
+    assert roots == {} and len(out) == 0
+
+
 def test_embedding_ivf_single_list_is_exact(emb_tbl, ray_session):
     """With one coarse list and nprobe=1 every vector is scanned, so IVF
     equals brute force exactly; with a real codebook the per-list cosines

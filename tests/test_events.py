@@ -318,6 +318,24 @@ def test_funnel_vs_brute(fixtures, ray_session):
         assert out["n_users"].tolist() == [int((reached >= i).sum()) for i in (1, 2, 3)]
 
 
+def test_funnel_of_empty_input(events_tbl, ray_session):
+    """Every step reaches zero users, as the DuckDB oracle of the
+    ``ev_funnel`` driver query says over the same empty table (the 0-row
+    histogram frame has no columns to read)."""
+    import duckdb
+
+    from __ray_entry__ import oracle_sql
+
+    events = events_tbl.schema.empty_table()
+    out = ev.funnel(_ds(events, ray_session), ("view", "click", "purchase")).to_pandas()
+    con = duckdb.connect()
+    con.register("events", events)
+    want = con.execute(oracle_sql()["ev_funnel"]).df().sort_values("step")
+    assert out["step"].tolist() == want["step"].tolist() == [1, 2, 3]
+    assert out["event_type"].tolist() == want["event_type"].tolist()
+    assert out["n_users"].tolist() == want["n_users"].tolist() == [0, 0, 0]
+
+
 def test_empty_input_keeps_output_schema(events_tbl, ray_session):
     import ray.data as rd
 

@@ -2,7 +2,8 @@
 ``_merge_rows``) against the pandas sort + groupby reference it replaced,
 both branches of the union aggregation ``_sum_by_doc`` against the
 brute-force oracle, the keys of the per-segment impact cache, the
-``search_local`` frame contract and the fuzzy expansion memo."""
+``search_local`` frame contract, the fuzzy expansion memo, the positional
+operators over token offsets and the bulk posting decode."""
 
 import os
 
@@ -324,3 +325,200 @@ def test_fuzzy_expansions_memoized_per_generation(tmp_path):
     new = Searcher(d).stats
     assert new is not stats and len(new._fuzzy_lru) == 0
     assert all(np.array_equal(a, b) for a, b in zip(new.fuzzy_terms("text", "agent", 1), first))
+
+
+# -- positional kernels over token offsets -----------------------------------
+
+def test_exact_phrase_stops_at_doc_boundary(tmp_path):
+    """c00 ends in "the" and c01 starts with "a": adjacent doc ids, but the
+    separator slot between them keeps ("the", "a") from matching across."""
+    tbl = _keyed_table([
+        "a start that ends with the",
+        "a reply that ends on the",
+        "then the a pair inside and the a again",
+        "nothing here",
+    ])
+    d = str(tmp_path / "idx")
+    build_index_local(tbl, d, num_partitions=1)
+    s, oracle = Searcher(d), BruteForceOracle(tbl)
+    conv, _turn = s._shard().readers[0].doc_keys
+    assert list(conv) == ["c00", "c01", "c02", "c03"]  # consecutive doc ids
+    for flt in (F.Phrase("text", ("the", "a")), F.Phrase("text", ("with", "the", "a"))):
+        got = _assert_oracle(s, oracle, flt)
+        assert not {"c00", "c01"} & set(got["conv_id"]), flt
+    got = _assert_oracle(s, oracle, F.Phrase("text", ("the", "a")))
+    assert list(got["conv_id"]) == ["c02"]
+    # slop and unordered windows stop at the boundary too
+    for flt in (F.Phrase("text", ("the", "a"), slop=2),
+                F.Phrase("text", ("a", "the"), slop=1, ordered=False)):
+        assert "c00" not in set(_assert_oracle(s, oracle, flt)["conv_id"]), flt
+
+
+def test_position_past_doc_length_raises(tmp_path):
+    tbl = _keyed_table(["the a b", "a the a"])
+    d = str(tmp_path / "idx")
+    build_index_local(tbl, d, num_partitions=1)
+    from iresearch_ray.stages.segment import SegmentReader
+    from iresearch_ray.state.manifest import load_manifest, segment_dirs
+
+    r = SegmentReader(segment_dirs(d, load_manifest(d))[0])
+    r.memo("dls", lambda: np.ones(2, np.int64))  # lengths below the positions
+    with pytest.raises(ValueError, match="length"):
+        ex._TermCursor(r, {"field": "text", "term": "a"}).offsets()
+
+
+PHRASE_QUERIES = [
+    F.Phrase("text", ("the", "a")),
+    F.Phrase("text", ("the", "the")),
+    F.Phrase("text", ("a", "the", "agent")),
+    F.Phrase("text", ("the", "w0118")),  # rare slot: the probe branch
+    F.Phrase("text", ("a", "the"), slop=1),
+    F.Phrase("text", ("the", "a", "the"), slop=2),
+    F.Phrase("text", ("the", F.Prefix("text", "ag"))),
+    F.Phrase("text", (F.Wildcard("text", "w01*"), "the"), slop=1),
+    F.Phrase("text", ("a", "agent"), slop=0, ordered=False),
+    F.Phrase("text", ("the", "error"), slop=2, ordered=False),
+    F.SamePosition("text", ("the", "the")),
+    F.SamePosition("text", ("the", "a")),
+    F.NgramSimilarity("text", ("the", "agent", "a"), threshold=0.6),
+]
+
+
+def _commit_merge(d, meta):
+    from iresearch_ray.state.manifest import commit_manifest, load_manifest
+
+    commit_manifest(d, [meta], load_manifest(d)["config"], lineage={"test_merge": True})
+
+
+@pytest.fixture(scope="module", params=["fresh", "concat", "shuffle"])
+def layout(request, tmp_path_factory, ray_session):
+    """A 3-segment index as built, concat-merged into one segment, or
+    shuffle-merged into one multi-part segment (hot terms salted), with
+    a few phrase hits deleted afterwards."""
+    from iresearch_ray.pipelines.delete import delete_keys
+    from iresearch_ray.stages.merge import merge_segments
+    from iresearch_ray.stages.shuffle_merge import merge_segments_shuffle
+    from iresearch_ray.state.manifest import load_manifest
+
+    tbl = gen_transcripts(90)
+    d = str(tmp_path_factory.mktemp(f"pos_{request.param}") / "idx")
+    build_index_local(tbl, d, num_partitions=3)
+    man = load_manifest(d)
+    names = [s["name"] for s in man["segments"]]
+    if request.param == "concat":
+        _commit_merge(d, merge_segments(d, names, man["generation"]))
+    elif request.param == "shuffle":
+        _commit_merge(d, merge_segments_shuffle(
+            d, names, man["generation"], hot_df_threshold=20, num_salts=3,
+            num_output_parts=3,
+        ))
+    hits = Searcher(d).search_local(F.Phrase("text", ("the", "a")), k=40)
+    victims = list(zip(hits["conv_id"][::7], hits["turn_idx"][::7].astype(int)))
+    delete_keys(d, victims)
+    return Searcher(d), BruteForceOracle(tbl), set(victims)
+
+
+@pytest.mark.parametrize("probe", ["rule", "dense", "probe"])
+def test_positional_ops_match_oracle(monkeypatch, layout, probe):
+    """Every positional operator equals the brute-force oracle, with the
+    deleted docs dropped after scoring, under the dense/probe rule and
+    with either branch forced."""
+    s, oracle, victims = layout
+    if probe != "rule":
+        monkeypatch.setattr(ex, "_dense_probe", lambda *a: probe == "dense")
+    for flt in PHRASE_QUERIES:
+        got = s.search_local(flt, k=30)
+        want = oracle.search(flt, k=100_000)
+        live = [(c, t) not in victims for c, t in zip(want["conv_id"], want["turn_idx"])]
+        want = want[np.array(live, dtype=bool)].head(30)
+        assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
+            zip(want["conv_id"], want["turn_idx"].astype(int))
+        ), flt
+        np.testing.assert_allclose(
+            got["score"].to_numpy(dtype=float), want["score"].to_numpy(dtype=float),
+            atol=1e-6, rtol=0,
+        )
+    assert len(s.search_local(PHRASE_QUERIES[0], k=30))
+
+
+# -- bulk posting decode -----------------------------------------------------
+
+def _decode_reference(blob: bytes, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One row decoded block by block: deltas then tfs per block."""
+    from iresearch_ray.functions.codec import varint_decode
+
+    vals = varint_decode(blob).astype(np.int64)
+    docs, tfs, i = [], [], 0
+    for c in counts:
+        docs.append(vals[i:i + c])
+        tfs.append(vals[i + c:i + 2 * c])
+        i += 2 * c
+    if not docs:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.cumsum(np.concatenate(docs)), np.concatenate(tfs)
+
+
+def _segment_readers(kind, tmp_path):
+    from iresearch_ray.state.crypto import IndexEncryption
+    from iresearch_ray.stages.merge import merge_segments
+    from iresearch_ray.stages.segment import SegmentReader, terms_paths
+    from iresearch_ray.stages.shuffle_merge import merge_segments_shuffle
+    from iresearch_ray.state.manifest import load_manifest, segment_dirs
+
+    crypto = IndexEncryption(b"k" * 32) if kind == "encrypted" else None
+    d = str(tmp_path / "idx")
+    build_index_local(gen_transcripts(150), d, num_partitions=3, crypto=crypto)
+    man = load_manifest(d)
+    names = [s["name"] for s in man["segments"]]
+    if kind == "concat":
+        meta = merge_segments(d, names, man["generation"])
+    elif kind == "multipart":
+        meta = merge_segments_shuffle(d, names, man["generation"], hot_df_threshold=30,
+                                      num_salts=3, num_output_parts=4)
+    else:
+        return [SegmentReader(p, crypto=crypto) for p in segment_dirs(d, man)]
+    seg = os.path.join(d, "segments", meta["name"])
+    if kind == "multipart":
+        assert len(terms_paths(seg)) > 1
+    return [SegmentReader(seg)]
+
+
+@pytest.mark.parametrize("kind", ["fresh", "concat", "multipart", "encrypted"])
+def test_decode_postings_bulk_matches_per_row_reference(tmp_path, ray_session, kind):
+    from iresearch_ray.functions.codec import (
+        BLOCK_SIZE,
+        PostingColumns,
+        decode_postings,
+        decode_postings_bulk,
+    )
+
+    uneven = False
+    for r in _segment_readers(kind, tmp_path):
+        terms = r.terms
+        blobs = terms["doc_blob"].to_pylist()
+        counts = terms["block_doc_count"].to_pylist()
+        want = [_decode_reference(b, c) for b, c in zip(blobs, counts)]
+        uneven |= any(c != BLOCK_SIZE for cs in counts for c in cs[:-1])
+        cols = PostingColumns.of(terms["doc_blob"], terms["block_doc_count"])
+        got = decode_postings_bulk(cols, list(range(terms.num_rows)))
+        assert len(got) == len(want)
+        for (gd, gt), (wd, wt) in zip(got, want):
+            assert gd.dtype == gt.dtype == np.int64
+            assert np.array_equal(gd, wd) and np.array_equal(gt, wt)
+        # columns of a sliced table (non-zero Arrow offsets), rows reversed
+        lo = terms.num_rows // 3
+        part = terms.slice(lo, 17).combine_chunks()
+        part_cols = PostingColumns.of(part["doc_blob"], part["block_doc_count"])
+        for i, (gd, gt) in zip(range(16, -1, -1), decode_postings_bulk(part_cols, range(16, -1, -1))):
+            assert np.array_equal(gd, want[lo + i][0]) and np.array_equal(gt, want[lo + i][1])
+        for i in (0, lo, terms.num_rows - 1):
+            gd, gt = decode_postings(blobs[i], np.asarray(counts[i]))
+            assert np.array_equal(gd, want[i][0]) and np.array_equal(gt, want[i][1])
+        # the reader's bulk path: rows in shuffled order, duplicates included
+        rows = list(np.random.default_rng(0).permutation(terms.num_rows)[:60]) + [0, 0]
+        out = r.bulk_postings([int(x) for x in rows])
+        for x in rows:
+            assert np.array_equal(out[int(x)][0], want[int(x)][0])
+            assert np.array_equal(out[int(x)][1], want[int(x)][1])
+    if kind == "concat":
+        assert uneven, "the concat merge left every block full"
