@@ -27,6 +27,7 @@ from iresearch_ray.query.filters import Filter, Prepared, ScorerCfg, prepare
 from iresearch_ray.stages.searcher import (
     RESULT_SCHEMA,
     Shard,
+    _topk_order,
     deleted_masks,
     search_batch_task,
 )
@@ -37,20 +38,6 @@ from iresearch_ray.state.stats import build_global_stats
 
 # the pinned tie-break after score desc (SURVEY §2.6)
 _TIES = ("conv_id", "turn_idx")
-
-
-def _topk_order(k: int, qid: np.ndarray | None, score: np.ndarray,
-                *ties: np.ndarray) -> np.ndarray:
-    """Row positions of each query's top-k, grouped by query id ascending
-    (one query when ``qid`` is None), under the pinned order: score desc,
-    then the ``ties`` keys asc, most significant first.  One stable
-    lexsort, then a per-query rank cut."""
-    if qid is None:
-        return np.lexsort((*ties[::-1], -score))[: max(k, 0)]
-    order = np.lexsort((*ties[::-1], -score, qid))
-    q = qid[order]
-    rank = np.arange(q.size) - np.searchsorted(q, q)  # position within its query
-    return order[rank < k]
 
 
 def merge_topk(frames: pd.DataFrame, k: int, ties: tuple[str, ...] = _TIES) -> pd.DataFrame:

@@ -12,9 +12,14 @@ term-at-a-time accumulation (bincount adds in input order, so sums are the
 same as a sort-based reduce) and the (score desc, conv_id, turn_idx) total
 order (SURVEY §2.6 tie-break).
 
-Top-k is exhaustive: ``segment_topk_docs`` scores the whole plan, then
-cuts to k and returns doc-id and score arrays; ``segment_topk`` wraps them
-in a (conv_id, turn_idx, score) table.
+Top-k scores the whole plan, then cuts to k in linear time:
+``_select`` takes the k-th largest of 8k chunk maxima as a floor under
+the k-th largest score, keeps the scores not below it in one pass and
+partitions only those (the reference's k-heap threshold, as one
+vectorized cut).  A union root is cut straight from its dense doc-id
+accumulator, without compacting it first.  ``segment_topk_docs`` returns
+doc-id and score arrays; ``segment_topk`` wraps them in a (conv_id,
+turn_idx, score) table.
 Posting decodes go through the reader's LRU posting cache, so warm queries
 reuse decoded postings instead of re-reading varint blocks.  The same
 byte-bounded LRU holds each term leg's impacts: the per-posting scoring
@@ -24,7 +29,7 @@ k1, b) and a custom scorer's ``tf_factor`` function.  A term leg then
 scores with one multiply by its idf weight; a generation with a new
 avg_dl misses and recomputes.  Every same-field union of term legs (an
 ``Or`` of terms, a prefix/wildcard/fuzzy expansion) decodes its missing
-rows in one bulk pass (``_eval_term_union_bulk``).
+rows in one bulk pass (``_term_union_legs``).
 
 Positions are token offsets.  Each reader memoizes ``tok_base =
 concat([0], cumsum(dl + 1))``, and a term's occurrences are cached once,
@@ -59,6 +64,14 @@ _EMPTY = (np.empty(0, np.int64), np.empty(0, np.float64))
 # dominate, so ``_sum_by_doc`` falls back to np.unique.
 DENSE_UNION_IDS = 1 << 20
 
+# Segment top-k selection (``_select``): the scores split into
+# SELECT_CHUNKS_PER_K * k contiguous chunks, and the k-th largest chunk
+# max is a floor under the k-th largest score.  Chunks shorter than
+# SELECT_MIN_CHUNK would make the floor cost as much as the partition it
+# saves, so shorter inputs partition whole.
+SELECT_CHUNKS_PER_K = 8
+SELECT_MIN_CHUNK = 4
+
 
 def _member_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     """Membership mask of ``values`` in ``sorted_set`` (both int64, set
@@ -71,23 +84,66 @@ def _member_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[idx] == values
 
 
+def _accumulate(
+    docs: np.ndarray, scores: np.ndarray, min_match: int, n_docs: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dense union accumulator over doc ids 0..n_docs: (mask of the
+    docs that occur at least ``min_match`` times in ``docs``, summed
+    scores per doc id), or None when the id space is too sparse for it
+    (see ``DENSE_UNION_IDS``).  bincount adds each doc's weights in input
+    order."""
+    if n_docs > max(DENSE_UNION_IDS, 4 * docs.size):
+        return None
+    matched = np.bincount(docs, minlength=n_docs + 1) >= max(1, min_match)
+    return matched, np.bincount(docs, weights=scores, minlength=n_docs + 1)
+
+
 def _sum_by_doc(
     docs: np.ndarray, scores: np.ndarray, min_match: int, n_docs: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ascending unique doc ids, summed scores) of the docs that occur at
-    least ``min_match`` times in ``docs`` — the aggregation of every union.
+    least ``min_match`` times in ``docs`` — the aggregation of every union:
+    the compacted ``_accumulate``, or np.unique over a sparse id space.
     bincount adds each doc's weights in input order, in both branches."""
-    if n_docs <= max(DENSE_UNION_IDS, 4 * docs.size):
-        counts = np.bincount(docs, minlength=n_docs + 1)
-        keep = counts >= max(1, min_match)
-        summed = np.bincount(docs, weights=scores, minlength=n_docs + 1)
-        return np.flatnonzero(keep).astype(np.int64), summed[keep]
+    acc = _accumulate(docs, scores, min_match, n_docs)
+    if acc is not None:
+        matched, summed = acc
+        return np.flatnonzero(matched).astype(np.int64), summed[matched]
     uniq, inv = np.unique(docs, return_inverse=True)
     summed = np.bincount(inv, weights=scores, minlength=uniq.size)
     if min_match > 1:
         keep = np.bincount(inv, minlength=uniq.size) >= min_match
         return uniq[keep], summed[keep]
     return uniq, summed
+
+
+def _select(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending positions of every score >= the k-th largest (ties kept;
+    NaN ranks above every number, as in np.partition) — the segment top-k
+    cut, for k >= 1.
+
+    The k-th largest max of ``SELECT_CHUNKS_PER_K * k`` contiguous chunks
+    is a floor: k distinct scores reach it, so it is <= the k-th largest
+    score.  One pass keeps the scores not below it, and np.partition runs
+    on those candidates only.  A -inf floor (an accumulator's unmatched
+    padding) keeps the scores above it instead.  Inputs too short for
+    ``SELECT_MIN_CHUNK``-long chunks, or with fewer than k candidates,
+    partition whole."""
+    n = scores.size
+    if n <= k:
+        return np.arange(n)
+    m = SELECT_CHUNKS_PER_K * k
+    if n >= SELECT_MIN_CHUNK * m:
+        c = n // m
+        floor = np.partition(scores[: m * c].reshape(m, c).max(axis=1), m - k)[m - k]
+        below = scores <= floor if floor == -np.inf else scores < floor
+        cand = np.flatnonzero(~below)
+        if cand.size >= k:
+            sub = scores[cand]
+            kth = np.partition(sub, sub.size - k)[sub.size - k]
+            return cand[sub >= kth]
+    kth = np.partition(scores, n - k)[n - k]
+    return np.flatnonzero(scores >= kth)
 
 
 def _tf_factor(tfs, dls, avg_dl, scorer):
@@ -243,17 +299,15 @@ def _present_rows(reader: SegmentReader, field: str, terms: list[str]) -> list[i
     return [int(idx[p]) for p, o in zip(pos_c, ok) if o]
 
 
-def _eval_term_union_bulk(
-    reader: SegmentReader, node: dict, scorer: dict
+def _term_union_legs(
+    reader: SegmentReader, children: list[dict], scorer: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every same-field union of term legs — an ``Or`` of terms or a
-    prefix/wildcard/fuzzy expansion: resolve all term rows with one
-    searchsorted, decode the uncached ones with one bulk Arrow take and
-    one varint pass, score all legs with one multiply, then the usual
-    counting merge.  Scores equal a per-leg evaluation bit for bit: both
-    multiply ``weight * impact`` elementwise and concatenate the legs in
-    children order."""
-    children = node["children"]
+    """The concatenated (docs, scores) legs of a same-field union of term
+    legs — an ``Or`` of terms or a prefix/wildcard/fuzzy expansion:
+    resolve all term rows with one searchsorted, decode the uncached ones
+    in one varint pass and score all legs with one multiply.  Scores
+    equal a per-leg evaluation bit for bit: both multiply ``weight *
+    impact`` elementwise and concatenate the legs in children order."""
     field = children[0]["field"]
     dict_terms, idx = reader.field_terms(field)
     if dict_terms.size == 0:
@@ -285,7 +339,26 @@ def _eval_term_union_bulk(
         # tiny numpy calls per segment
         scores = np.repeat(np.asarray(weights, np.float64), [i.size for i in impacts])
         scores *= np.concatenate(impacts)
-    return _sum_by_doc(docs, scores, int(node.get("min_match", 1)), reader.meta["docs_count"])
+    return docs, scores
+
+
+def _union_legs(
+    reader: SegmentReader, node: dict, scorer: dict, deleted: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated (docs, scores) of a union's non-empty legs, in
+    children order — the input of its aggregation."""
+    children = node["children"]
+    if (
+        children
+        and all(c["op"] == "term" for c in children)
+        and len({c["field"] for c in children}) == 1
+    ):
+        return _term_union_legs(reader, children, scorer)
+    legs = [eval_node(reader, c, scorer, deleted) for c in children]
+    legs = [(d, s) for d, s in legs if d.size]
+    if not legs:
+        return _EMPTY
+    return np.concatenate([d for d, _ in legs]), np.concatenate([s for _, s in legs])
 
 
 def _geo_column(reader: SegmentReader, field: str):
@@ -318,22 +391,11 @@ def eval_node(
         return docs, node["weight"] * impact
 
     if op == "union":
-        children = node["children"]
-        if (
-            children
-            and all(c["op"] == "term" for c in children)
-            and len({c["field"] for c in children}) == 1
-        ):
-            return _eval_term_union_bulk(reader, node, scorer)
-        legs = [eval_node(reader, c, scorer, deleted) for c in children]
-        legs = [(d, s) for d, s in legs if d.size]
-        if not legs:
+        docs, scores = _union_legs(reader, node, scorer, deleted)
+        if docs.size == 0:
             return _EMPTY
         return _sum_by_doc(
-            np.concatenate([d for d, _ in legs]),
-            np.concatenate([s for _, s in legs]),
-            int(node.get("min_match", 1)),
-            reader.meta["docs_count"],
+            docs, scores, int(node.get("min_match", 1)), reader.meta["docs_count"]
         )
 
     if op == "and":
@@ -676,7 +738,11 @@ def _eval_phrase(reader: SegmentReader, node: dict, scorer: dict) -> tuple[np.nd
         ok &= nxt <= cand + 1 + slop
         # same doc: below the next doc's base (nxt > cand)
         ok &= nxt < tok_base[np.searchsorted(tok_base, cand, side="right")]
-        cand = np.unique(nxt[ok])
+        # cand ascends and searchsorted is monotone, so nxt[ok] never
+        # descends: dropping adjacent repeats leaves it sorted and unique
+        cand = nxt[ok]
+        if cand.size:
+            cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
     if cand.size == 0:
         return _EMPTY
     return _tf_scores(reader, node, scorer, *_hits_per_doc(tok_base, cand))
@@ -770,21 +836,45 @@ def segment_topk_docs(
     (doc id array, float64 score array) under the pinned total order.
 
     ``deleted`` is the document-mask side file applied at query time
-    (SURVEY §2.3): True at doc_id-1 excludes the doc from results."""
-    docs, scores = _EMPTY
-    if k > 0:
-        docs, scores = eval_node(reader, plan["root"], plan["scorer"], deleted)
+    (SURVEY §2.3): True at doc_id-1 excludes the doc from results.
+
+    Every doc tied with the k-th largest score survives ``_select``, so
+    the value-based tie-break below stays exact.  A union root selects
+    straight from its dense accumulator: the deleted docs leave the
+    matched mask, the unmatched ids score -inf, and the doc ids are the
+    selected positions — no compaction of the accumulator first.  Any
+    other root (or a union over a sparse id space) is evaluated, filtered
+    by the mask, then selected."""
+    if k <= 0:
+        return _EMPTY
+    root, scorer = plan["root"], plan["scorer"]
+    acc = None
+    if root["op"] == "union":
+        docs, scores = _union_legs(reader, root, scorer, deleted)
+        if docs.size:
+            mm, n_docs = int(root.get("min_match", 1)), reader.meta["docs_count"]
+            acc = _accumulate(docs, scores, mm, n_docs)
+            if acc is None:
+                docs, scores = _sum_by_doc(docs, scores, mm, n_docs)
+    else:
+        docs, scores = eval_node(reader, root, scorer, deleted)
+    if acc is not None:
+        matched, summed = acc
+        if deleted is not None:
+            matched[1:] &= ~deleted
+        if np.count_nonzero(matched) > k:
+            docs = _select(np.where(matched, summed, -np.inf), k)
+        else:
+            docs = np.flatnonzero(matched)
+        scores = summed[docs]
+    else:
         if deleted is not None and docs.size:
             keep = ~deleted[docs - 1]
             docs, scores = docs[keep], scores[keep]
+        sel = _select(scores, k)
+        docs, scores = docs[sel], scores[sel]
     if docs.size == 0:
         return _EMPTY
-    if docs.size > k:
-        # keep every doc tied with the k-th largest score so the value-based
-        # tie-break below stays exact, then order the reduced set
-        kth = np.partition(scores, docs.size - k)[docs.size - k]
-        sel = np.flatnonzero(scores >= kth)
-        docs, scores = docs[sel], scores[sel]
     conv_all, turn_all = reader.doc_keys
     # pinned total order (SURVEY §2.6): score desc, then (conv_id, turn_idx)
     # asc BY VALUE — doc-id order equals it for freshly built segments but

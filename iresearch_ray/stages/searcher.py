@@ -43,6 +43,21 @@ def deleted_masks(index_dir: str, tombstones: list[dict], readers, crypto=None) 
     return [segment_deleted_mask(index_dir, tombs, r.seg_dir, r, crypto) for r in readers]
 
 
+def _topk_order(k: int, qid: np.ndarray | None, score: np.ndarray,
+                *ties: np.ndarray) -> np.ndarray:
+    """Row positions of each query's top-k, grouped by query id ascending
+    (one query when ``qid`` is None), under the pinned order: score desc,
+    then the ``ties`` keys asc, most significant first.  One stable
+    lexsort, then a per-query rank cut — the one merge kernel of shard
+    and driver merges."""
+    if qid is None:
+        return np.lexsort((*ties[::-1], -score))[: max(k, 0)]
+    order = np.lexsort((*ties[::-1], -score, qid))
+    q = qid[order]
+    rank = np.arange(q.size) - np.searchsorted(q, q)  # position within its query
+    return order[rank < k]
+
+
 class Shard:
     """Segment readers with their deleted-doc masks; each op returns the
     rows of this shard for the driver to merge."""
@@ -78,9 +93,10 @@ class Shard:
         return sum(segment_count(r, plan, deleted=d) for r, d in self._segments())
 
     def highlight(self, plans: dict[str, dict], k: int, field: str, source: str) -> pd.DataFrame:
-        """Per-segment top-k with ``text`` and ``spans``: each hit's spans
-        come from the reader that holds it (stored-text retokenize or the
-        indexed offset stream, functions/highlight.py)."""
+        """This shard's top-k of every plan with ``text`` and ``spans``:
+        the segments' top-k are merged first, and only the k survivors per
+        query get spans, each from the reader that holds it (stored-text
+        retokenize or the indexed offset stream, functions/highlight.py)."""
         from iresearch_ray.functions.highlight import plan_terms, spans_for_hits
 
         if source == "index":
@@ -97,14 +113,22 @@ class Shard:
         hits, texts, spans = {}, [], []
         for qid, plan in plans.items():
             terms = sorted(plan_terms(plan["root"], field))
-            parts = []
+            seg_docs, parts = [], []
             for r, d in self._segments():
                 docs, score = segment_topk_docs(r, plan, k, d)
-                t, sp = spans_for_hits(r, docs, terms, field, source)
+                seg_docs.append(docs)
                 parts.append((*doc_keys_of(r, docs), score))
-                texts += t
-                spans += sp
-            hits[qid] = _concat_hits(parts)
+            conv, turn, score = _concat_hits(parts)
+            # the shard's own top-k, in segment order: only these get spans
+            keep = np.sort(_topk_order(k, None, score, conv, turn))
+            starts = np.cumsum([0] + [docs.size for docs in seg_docs])
+            cuts = np.searchsorted(keep, starts)
+            for r, docs, start, lo, hi in zip(self.readers, seg_docs, starts, cuts, cuts[1:]):
+                if hi > lo:
+                    t, sp = spans_for_hits(r, docs[keep[lo:hi] - start], terms, field, source)
+                    texts += t
+                    spans += sp
+            hits[qid] = (conv[keep], turn[keep], score[keep])
         out = _result_table(hits).to_pandas()
         out["text"] = pd.Series(texts, dtype=object)
         out["spans"] = pd.Series(spans, dtype=object)

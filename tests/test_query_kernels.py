@@ -3,7 +3,9 @@
 both branches of the union aggregation ``_sum_by_doc`` against the
 brute-force oracle, the keys of the per-segment impact cache, the
 ``search_local`` frame contract, the fuzzy expansion memo, the positional
-operators over token offsets and the bulk posting decode."""
+operators over token offsets, the bulk posting decode, the segment top-k
+selection ``_select`` against the whole-array partition it replaced, the
+union-root cut from its accumulator and the shard highlight merge."""
 
 import os
 
@@ -522,3 +524,231 @@ def test_decode_postings_bulk_matches_per_row_reference(tmp_path, ray_session, k
             assert np.array_equal(out[int(x)][1], want[int(x)][1])
     if kind == "concat":
         assert uneven, "the concat merge left every block full"
+
+
+# -- segment top-k selection -------------------------------------------------
+
+def _select_reference(scores: np.ndarray, k: int) -> np.ndarray:
+    """The whole-array cut ``_select`` replaced: every position whose score
+    reaches the k-th largest, found by np.partition."""
+    if scores.size <= k:
+        return np.arange(scores.size)
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    return np.flatnonzero(scores >= kth)
+
+
+def _select_inputs(rng, k: int) -> list[np.ndarray]:
+    """Heavy ties, all-equal, -inf padding (dense and clustered), NaN and
+    lengths on both sides of the chunk threshold and at n <= k."""
+    edge = ex.SELECT_MIN_CHUNK * ex.SELECT_CHUNKS_PER_K * k
+    out = []
+    for n in sorted({1, k - 1, k, k + 1, edge - 1, edge, edge + 1, 3 * edge + 7, 20_000}):
+        if n < 1:
+            continue
+        out.append(rng.choice([0.0, 0.5, 1.25, 3.0], n))  # 4 distinct scores
+        out.append(rng.random(n) * 9)
+        out.append(np.full(n, 2.5))
+        padded = rng.random(n)
+        padded[rng.random(n) < 0.9] = -np.inf  # a sparse accumulator
+        out.append(padded)
+        clustered = np.full(n, -np.inf)
+        clustered[n // 2: n // 2 + k + 2] = rng.choice([1.0, 2.0], min(k + 2, n - n // 2))
+        out.append(clustered)  # matches in fewer than k chunks
+        nan = rng.random(n)
+        nan[rng.integers(0, n, 3)] = np.nan
+        out.append(nan)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 100])
+def test_select_matches_partition_reference(k):
+    rng = np.random.default_rng(k)
+    for scores in _select_inputs(rng, k):
+        got = ex._select(scores, k)
+        want = _select_reference(scores, k)
+        assert np.array_equal(got, want), (scores.size, k)
+
+
+# a corpus whose rare words qa0..qa4 co-occur: every union of them stays
+# under a quarter of its segment's docs (so a dense bound of 0 sends it
+# to np.unique) while min_match=3 still has hits in both segments
+_FILL = [f"f{i:03d}" for i in range(300)]
+_FILL_P = 1.0 / np.arange(1, 301)
+_FILL_P /= _FILL_P.sum()
+_RARE = ["qa0", "qa1", "qa2", "qa3", "qa4"]
+
+
+def _rare_table(seed: int = 7, n_convs: int = 400) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    rows = []
+    for c in range(n_convs):
+        for t in range(5):
+            words = list(rng.choice(_FILL, int(rng.integers(4, 16)), p=_FILL_P))
+            if rng.random() < 0.04:
+                words += list(rng.choice(_RARE, int(rng.integers(3, 5)), replace=False))
+            elif rng.random() < 0.1:
+                words.append(str(rng.choice(_RARE)))
+            rng.shuffle(words)
+            rows.append({"conv_id": f"c{c:04d}", "turn_idx": t, "text": " ".join(words),
+                         "role": "user", "tool": None})
+    return pa.Table.from_pylist(rows)
+
+
+@pytest.fixture(scope="module")
+def rare_corpus(tmp_path_factory):
+    """Two ~1000-doc segments, with every 9th turn deleted."""
+    from iresearch_ray.pipelines.delete import delete_keys
+
+    tbl = _rare_table()
+    d = str(tmp_path_factory.mktemp("rare") / "idx")
+    build_index_local(tbl, d, num_partitions=2)
+    victims = set(zip(tbl["conv_id"].to_pylist()[::9], tbl["turn_idx"].to_pylist()[::9]))
+    delete_keys(d, list(victims))
+    return d, tbl, victims
+
+
+def _R(i):
+    return F.Term("text", _RARE[i])
+
+
+UNION_ROOTS = {
+    "or": F.Or((_R(0), _R(2), _R(4))),
+    "minmatch2": F.Or(tuple(map(_R, range(5))), min_match=2),
+    "minmatch3": F.Or(tuple(map(_R, range(5))), min_match=3),
+    "prefix": F.Prefix("text", "qa"),
+    "fuzzy": F.Fuzzy("text", "qa1", 1),
+    # zero-score unscored_terms legs: heavy ties at score 0
+    "unscored": F.Prefix("text", "qa", scored_terms_limit=2),
+    "unscored_mm": F.Or((F.Fuzzy("text", "qa3", 1, scored_terms_limit=1), _R(0)), min_match=2),
+}
+
+
+@pytest.mark.parametrize("scorer", ["bm25", "tfidf"])
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+@pytest.mark.parametrize("name", sorted(UNION_ROOTS))
+def test_union_root_topk_matches_oracle(monkeypatch, rare_corpus, name, branch, scorer):
+    """A union root cut straight from its accumulator (or, with the dense
+    bound at 0, through np.unique) equals the brute-force oracle with the
+    deleted docs dropped, at k = 0, 1, 3, 10 and 100."""
+    from iresearch_ray.query.filters import ScorerCfg
+
+    d, tbl, victims = rare_corpus
+    cfg = ScorerCfg(name=scorer)
+    s, oracle = Searcher(d), BruteForceOracle(tbl, scorer=cfg)
+    dense, sparse = [], []
+    accumulate, sum_by_doc = ex._accumulate, ex._sum_by_doc
+
+    def acc_spy(docs, scores, min_match, n_docs):
+        out = accumulate(docs, scores, min_match, n_docs)
+        dense.append(out is not None)
+        return out
+
+    def sum_spy(docs, scores, min_match, n_docs):
+        sparse.append(n_docs > max(ex.DENSE_UNION_IDS, 4 * docs.size))
+        return sum_by_doc(docs, scores, min_match, n_docs)
+
+    monkeypatch.setattr(ex, "_accumulate", acc_spy)
+    monkeypatch.setattr(ex, "_sum_by_doc", sum_spy)
+    if branch == "sparse":
+        monkeypatch.setattr(ex, "DENSE_UNION_IDS", 0)
+    flt = UNION_ROOTS[name]
+    want = oracle.search(flt, k=100_000)
+    live = [(c, t) not in victims for c, t in zip(want["conv_id"], want["turn_idx"])]
+    want = want[np.array(live, dtype=bool)]
+    assert len(want) > 10, "the case must have more live hits than the cut"
+    for k in (0, 1, 3, 10, 100):
+        got = s.search_local(flt, k=k, scorer=cfg)
+        exp = want.head(k)
+        assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
+            zip(exp["conv_id"], exp["turn_idx"].astype(int))
+        ), (flt, k)
+        np.testing.assert_allclose(
+            got["score"].to_numpy(dtype=float), exp["score"].to_numpy(dtype=float),
+            atol=1e-6, rtol=0,
+        )
+    if branch == "dense":
+        assert any(dense) and not any(sparse), "the accumulator cut did not run"
+    else:
+        assert any(sparse), "np.unique branch did not run"
+
+
+SLOP_QUERIES = [
+    F.Phrase("text", ("the", "the"), slop=1),
+    F.Phrase("text", ("the", "the"), slop=2),
+    F.Phrase("text", ("a", "the", "agent"), slop=1),
+    F.Phrase("text", ("a", "the", "agent"), slop=2),
+    F.Phrase("text", ("the", "a", "the"), slop=1),
+    F.Phrase("text", ("agent", "the", "the"), slop=2),
+]
+
+
+def test_slop_chain_matches_oracle(layout):
+    """The ordered slop > 0 chain (adjacent-repeat dedupe of each step's
+    next offsets) equals the brute-force oracle on repeated-term and
+    3-term phrases, with the deleted docs dropped."""
+    s, oracle, victims = layout
+    for flt in SLOP_QUERIES:
+        got = s.search_local(flt, k=30)
+        want = oracle.search(flt, k=100_000)
+        live = [(c, t) not in victims for c, t in zip(want["conv_id"], want["turn_idx"])]
+        want = want[np.array(live, dtype=bool)].head(30)
+        assert len(got)
+        assert list(zip(got["conv_id"], got["turn_idx"].astype(int))) == list(
+            zip(want["conv_id"], want["turn_idx"].astype(int))
+        ), flt
+        np.testing.assert_allclose(
+            got["score"].to_numpy(dtype=float), want["score"].to_numpy(dtype=float),
+            atol=1e-6, rtol=0,
+        )
+
+
+# -- shard highlights --------------------------------------------------------
+
+@pytest.mark.parametrize("source", ["stored", "index"])
+def test_shard_highlights_spans_for_survivors_only(monkeypatch, tmp_path, source):
+    """A shard computes spans for at most k hits per query, and its frame
+    after the driver merge equals every segment's top-k with spans merged
+    at the driver."""
+    from iresearch_ray.functions import highlight as H
+    from iresearch_ray.pipelines.delete import delete_keys
+    from iresearch_ray.stages.segment import IndexConfig
+
+    tbl = gen_transcripts(80)
+    d = str(tmp_path / "idx")
+    build_index_local(tbl, d, cfg=IndexConfig(offsets=True), num_partitions=4)
+    delete_keys(d, list(zip(tbl["conv_id"].to_pylist()[::13], tbl["turn_idx"].to_pylist()[::13])))
+    s = Searcher(d)
+    shard = s._shard()
+    queries = {"a": F.Or((_T("agent"), _T("error"))), "b": F.Term("text", "the"),
+               "c": F.Phrase("text", ("the", "a")), "d": F.Term("text", "nosuchword")}
+    plans = s._plans(queries, None)
+    seen = {}
+    kernel = H.spans_for_hits
+
+    def spy(reader, docs, terms, field, src):
+        key = tuple(terms)
+        seen[key] = seen.get(key, 0) + len(docs)
+        return kernel(reader, docs, terms, field, src)
+
+    monkeypatch.setattr(H, "spans_for_hits", spy)
+    for k in (1, 5, 12):
+        seen.clear()
+        got = merge_topk(shard.highlight(plans, k, "text", source), k)
+        assert seen and max(seen.values()) <= k
+        # reference: spans for every segment's top-k, merged at the driver
+        rows = []
+        for qid, plan in plans.items():
+            terms = sorted(H.plan_terms(plan["root"], "text"))
+            for r, dm in zip(shard.readers, shard.deleted):
+                docs, score = ex.segment_topk_docs(r, plan, k, dm)
+                texts, spans = kernel(r, docs, terms, "text", source)
+                conv, turn = ex.doc_keys_of(r, docs)
+                rows += [
+                    {"query_id": qid, "conv_id": c, "turn_idx": int(t), "score": float(v),
+                     "text": x, "spans": sp}
+                    for c, t, v, x, sp in zip(conv, turn, score, texts, spans)
+                ]
+        want = merge_topk(pd.DataFrame(rows), k)
+        assert len(got) == len(want) > 0
+        for col in ("query_id", "conv_id", "turn_idx", "score", "text", "spans"):
+            assert list(got[col]) == list(want[col]), (k, col)
