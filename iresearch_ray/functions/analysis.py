@@ -165,30 +165,57 @@ def token_spans_ascii(texts) -> tuple[np.ndarray, np.ndarray] | None:
     return (starts - base).astype(np.int64), (ends - base).astype(np.int64)
 
 
+# 256-entry byte map of the same analyzer: token bytes lowercased, every
+# other byte a space, so one whitespace split yields the tokens
+_ASCII_FOLD = np.full(256, ord(" "), dtype=np.uint8)
+for _c in np.flatnonzero(_ASCII_WORD_BYTE):
+    _ASCII_FOLD[_c] = ord(chr(_c).lower())
+
+
 def explode_text_arrow(texts):
     """Arrow-native fast path of the pinned `text` analyzer (no stopwords, no
-    stemming): utf8_lower + RE2 split on [\\W_]+ runs entirely in C++ kernels.
-    Exact token parity with ``tokenize_text`` on ASCII input (asserted in
-    tests); returns None when the batch contains non-ASCII or nulls so the
-    caller falls back to the python path.
+    stemming) on all-ASCII input.  The utf-8 bytes go through one 256-entry
+    map (``_ASCII_FOLD``: [0-9A-Za-z] lowercased, any other byte a space),
+    then ``ascii_split_whitespace`` splits in C++; the empty tokens a leading
+    or trailing separator leaves are dropped.  Takes string or large_string,
+    sliced or chunked.  Token-identical to ``TextAnalyzer()`` (asserted in
+    tests/test_analysis.py); returns None when the batch contains non-ASCII
+    or nulls so the caller falls back to the python path.
 
     Returns (flat_tokens: pa.Array, parent_row: np.int64[], n_tokens_per_row:
-    np.int64[]) with empty-string tokens already removed."""
+    np.int64[]) with tokens in (row, position) order."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
-    if texts.null_count or not pc.all(pc.string_is_ascii(texts)).as_py():
+    if texts.null_count or not pc.all(pc.string_is_ascii(texts), min_count=0).as_py():
         return None
-    low = pc.utf8_lower(texts)
-    split = pc.split_pattern_regex(low, r"[\W_]+")
-    flat = pc.list_flatten(split)
-    parent = pc.list_parent_indices(split).to_numpy(zero_copy_only=False)
-    keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-    flat = flat.filter(pa.array(keep))
+    n = len(texts)
+    large = pa.types.is_large_string(texts.type)
+    off = np.frombuffer(texts.buffers()[1], np.int64 if large else np.int32)
+    off = off[texts.offset: texts.offset + n + 1]
+    raw = texts.buffers()[2]
+    data = np.frombuffer(raw, np.uint8) if raw is not None else np.empty(0, np.uint8)
+    folded = (pa.LargeStringArray if large else pa.StringArray).from_buffers(
+        n,
+        pa.py_buffer(off - off[0]),
+        pa.py_buffer(_ASCII_FOLD[data[off[0]: off[-1]]]),
+    )
+    split = pc.ascii_split_whitespace(folded)
+    flat = split.flatten()
+    parent = pc.list_parent_indices(split).to_numpy()
+    # an empty token has zero length, so dropping it is dropping its end
+    # offset: the kept tokens' bytes are already contiguous
+    tok_off = np.frombuffer(flat.buffers()[1], off.dtype)[flat.offset: flat.offset + len(flat) + 1]
+    keep = np.flatnonzero(tok_off[1:] != tok_off[:-1])
+    flat = type(flat).from_buffers(
+        keep.size,
+        pa.py_buffer(np.concatenate((tok_off[:1], tok_off[keep + 1]))),
+        flat.buffers()[2],
+    )
     parent = parent[keep]
-    n_tok = np.bincount(parent, minlength=len(texts)).astype(np.int64)
+    n_tok = np.bincount(parent, minlength=n).astype(np.int64)
     return flat, parent, n_tok
 
 

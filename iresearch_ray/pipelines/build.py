@@ -182,7 +182,8 @@ def _write_part(index_dir: str, cfg: IndexConfig, rows: pa.Table, part: int, P: 
     c0 = time.process_time()
     mk = cpu_mark()
     key = segment_content_key(rows, cfg, crypto)
-    terms, docs, field_stats = build_segment_tables(rows, cfg)
+    layers: dict[str, float] = {}
+    terms, docs, field_stats = build_segment_tables(rows, cfg, layers)
     cpu = time.process_time() - c0
     report_since("append" if "batch" in lineage else "build", mk)
     return write_segment(
@@ -196,6 +197,8 @@ def _write_part(index_dir: str, cfg: IndexConfig, rows: pa.Table, part: int, P: 
         metrics={
             "build_secs": round(time.perf_counter() - t0, 4),
             "build_cpu_secs": round(cpu, 4),
+            "analyze_cpu_secs": round(layers["analyze"], 4),
+            "group_encode_cpu_secs": round(layers["group_encode"], 4),
             "tokens": field_stats.get(cfg.text_field, {}).get("total_term_freq", 0),
         },
         crypto=crypto,

@@ -23,9 +23,14 @@ doc_limits::min()==1).  Rows are always sorted by (conv_id, turn_idx) before
 id assignment — the primary-sort invariant (SURVEY §2.3 "primary-sort build")
 that makes ids deterministic and global doc order = (segment, conv, turn).
 
-Posting accumulation (ref: core/index/field_data.cpp byte_block_pool) is
-re-expressed as a single vectorized factorize/lexsort pass over the exploded
-(token, doc, position) arrays — no per-row python dict in the hot path.
+Posting accumulation (ref: core/index/field_data.cpp byte_block_pool, which
+appends each occurrence to its term's stream in arrival order) is
+re-expressed over numpy occurrence arrays (term code, doc, position) that
+arrive in (doc, pos) order: one stable radix sort on the term codes groups
+them without disturbing that order, and one bulk varint pass encodes every
+term — no per-row python dict in the hot path.  Term codes come from Arrow
+kernels for the plain `text` analyzer on ASCII text (a byte map plus a
+whitespace split) and for string keyword fields (``dictionary_encode``).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import json
 import os
 import sys
 import threading
+import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -143,32 +149,62 @@ class IndexConfig:
         return IndexConfig(**d)
 
 
-def _postings_for_field(
-    field_name: str,
-    term_lists: list[list[str]],
-    doc_ids: np.ndarray,
-    with_positions: bool,
-    offs: tuple[np.ndarray, np.ndarray] | None = None,
-    pays: np.ndarray | None = None,
-) -> pa.Table:
-    """Vectorized postings for one field (returns a TERMS_SCHEMA table):
-    explode → factorize → lexsort → bulk encode.
-    ``offs`` = flat (char_start, char_end) arrays parallel to the exploded
-    occurrence stream (doc order, position order) when indexing offsets;
-    ``pays`` = object array of per-occurrence payload bytes, same order."""
-    lens = np.fromiter((len(t) for t in term_lists), dtype=np.int64, count=len(term_lists))
-    total = int(lens.sum())
-    if total == 0:
-        return TERMS_SCHEMA.empty_table()
-    flat = [t for toks in term_lists for t in toks]
-    doc_rep = np.repeat(doc_ids, lens)
-    # position of each occurrence within its doc
+class _CpuLaps:
+    """Process CPU seconds per build layer: each ``lap(layer)`` charges the
+    CPU used since the previous lap (or since construction) to ``layer``."""
+
+    def __init__(self):
+        self.secs: dict[str, float] = {}
+        self._t = time.process_time()
+
+    def lap(self, layer: str) -> None:
+        t = time.process_time()
+        self.secs[layer] = self.secs.get(layer, 0.0) + t - self._t
+        self._t = t
+
+
+def _positions(lens: np.ndarray) -> np.ndarray:
+    """Position of each occurrence within its doc, for docs of ``lens``
+    occurrences laid out back to back."""
     starts = np.cumsum(lens) - lens
-    pos = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
+    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens)
+
+
+def _occurrences(
+    term_lists: list[list[str]], doc_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Occurrence stream of per-doc token lists, in (doc, pos) order:
+    sorted-term codes, the sorted terms, each occurrence's doc id and its
+    position within the doc."""
+    lens = np.fromiter((len(t) for t in term_lists), dtype=np.int64, count=len(term_lists))
+    flat = [t for toks in term_lists for t in toks]
     codes, uniques = pd.factorize(np.asarray(flat, dtype=object), sort=True)
-    return _postings_from_codes(
-        field_name, codes, uniques, doc_rep, pos, with_positions, offs, pays
-    )
+    return codes, uniques, np.repeat(doc_ids, lens), _positions(lens)
+
+
+def _sorted_codes(values: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into the sorted distinct values of a non-null string array
+    (the ``pd.factorize(sort=True)`` contract, in Arrow's hash kernel)."""
+    enc = values.dictionary_encode()
+    codes = enc.indices.to_numpy()
+    uniq = enc.dictionary.to_numpy(zero_copy_only=False)
+    # remap first-seen dictionary order to sorted-term codes
+    sort_order = np.argsort(uniq, kind="stable")
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[sort_order] = np.arange(uniq.size)
+    return rank[codes], uniq[sort_order]
+
+
+def _term_order(codes: np.ndarray, n_terms: int) -> np.ndarray:
+    """Stable permutation grouping occurrences by term code.  Occurrences
+    arrive in (doc, pos) order, so stability alone keeps each term's run
+    sorted by (doc, pos): the (term, doc, pos) order without a 3-key
+    lexsort.  On uint16 keys numpy's stable sort is a radix sort; a wider
+    vocabulary takes two stable 16-bit passes, low half then high half."""
+    if n_terms <= 1 << 16:
+        return np.argsort(codes.astype(np.uint16), kind="stable")
+    lo = np.argsort((codes & 0xFFFF).astype(np.uint16), kind="stable")
+    return lo[np.argsort((codes[lo] >> 16).astype(np.uint16), kind="stable")]
 
 
 def _postings_from_codes(
@@ -183,10 +219,11 @@ def _postings_from_codes(
 ) -> pa.Table:
     """Grouping + encode tail shared by the python and arrow tokenize paths:
     ``codes`` are sorted-term integer codes per occurrence, ``uniques`` the
-    sorted term strings."""
+    sorted term strings.  Occurrences must arrive in (doc, pos) order —
+    every tokenize path emits them so — because the grouping sort keys on
+    the term code alone (``_term_order``)."""
     total = codes.size
-    # group by (term, doc); positions already ascending within (doc) by construction
-    order = np.lexsort((pos, doc_rep, codes))
+    order = _term_order(codes, len(uniques))
     codes_s, docs_s, pos_s = codes[order], doc_rep[order], pos[order]
     offs_s = (offs[0][order], offs[1][order]) if offs is not None else None
     pays_s = pays[order] if pays is not None else None
@@ -308,7 +345,7 @@ def _postings_from_codes(
 
 
 def build_segment_tables(
-    rows: pa.Table, cfg: IndexConfig
+    rows: pa.Table, cfg: IndexConfig, cpu: dict | None = None
 ) -> tuple[pa.Table, pa.Table, dict]:
     """Build (terms, docs, field_stats) for one partition's rows.
 
@@ -318,7 +355,18 @@ def build_segment_tables(
     string, turn_idx int32) so every segment of an index shares one doc
     schema — mixed-width keys from ad-hoc update batches would otherwise
     break cross-segment result concat.
+
+    Every field becomes an occurrence stream in (doc, pos) order — sorted
+    term codes, doc ids, positions — and ``_postings_from_codes`` groups
+    and encodes it.  The plain `text` analyzer on ASCII text and string
+    keyword fields get their codes from Arrow kernels
+    (``explode_text_arrow``, ``dictionary_encode``); other analyzers and
+    field kinds tokenize in python and factorize.  ``cpu``, when given,
+    receives the process CPU seconds of the two layers: ``analyze``
+    (sort, tokenize, term codes) and ``group_encode`` (grouping, posting
+    encode, terms/docs table assembly).
     """
+    clock = _CpuLaps()
     i = rows.schema.get_field_index("turn_idx")
     if rows.schema.field(i).type != pa.int32():
         rows = rows.set_column(i, "turn_idx", rows["turn_idx"].cast(pa.int32()))
@@ -333,6 +381,15 @@ def build_segment_tables(
     term_tables: list[pa.Table] = []
     field_stats: dict[str, dict] = {}
 
+    def add(field_name, codes, uniques, doc_rep, pos, with_positions=False,
+            offs=None, pays=None):
+        clock.lap("analyze")
+        if codes.size:
+            term_tables.append(_postings_from_codes(
+                field_name, codes, uniques, doc_rep, pos, with_positions, offs, pays
+            ))
+        clock.lap("group_encode")
+
     # arrow-native tokenize fast path (C++ kernels) for the plain pinned
     # analyzer on ASCII batches — token-identical to the python path
     # (tests/test_analysis.py asserts parity); python fallback otherwise
@@ -342,7 +399,6 @@ def build_segment_tables(
         and isinstance(analyzer, TextAnalyzer)
         and not analyzer.stopwords
         and analyzer.stem is None
-        and not os.environ.get("IRE_NO_ARROW_TOKENIZE")
     ):
         exploded = explode_text_arrow(rows[cfg.text_field])
 
@@ -359,49 +415,25 @@ def build_segment_tables(
 
     if exploded is not None:
         flat, parent, dls = exploded
-        if len(flat):
-            enc = flat.dictionary_encode()
-            if isinstance(enc, pa.ChunkedArray):
-                enc = enc.combine_chunks()
-            codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            uniq = enc.dictionary.to_pandas().to_numpy(dtype=object)
-            # remap first-seen dictionary order to sorted-term codes
-            sort_order = np.argsort(uniq, kind="stable")
-            rank = np.empty(uniq.size, dtype=np.int64)
-            rank[sort_order] = np.arange(uniq.size)
-            codes = rank[codes]
-            uniq = uniq[sort_order]
-            # occurrence position within each doc (parent is nondecreasing)
-            run_start = np.concatenate(([0], np.flatnonzero(np.diff(parent)) + 1))
-            pos = np.arange(parent.size, dtype=np.int64) - np.repeat(
-                run_start, np.diff(np.append(run_start, parent.size))
-            )
-            offs = None
-            if cfg.offsets:
-                from iresearch_ray.functions.analysis import token_spans_ascii
+        offs = None
+        if cfg.offsets:
+            from iresearch_ray.functions.analysis import token_spans_ascii
 
-                # explode_text_arrow succeeded ⇒ all-ASCII, so the
-                # vectorized byte-run span pass is token-parallel to `flat`
-                offs = token_spans_ascii(rows[cfg.text_field])
-            term_tables.append(_postings_from_codes(
-                cfg.text_field,
-                codes,
-                uniq,
-                doc_ids[parent],
-                pos,
-                cfg.positions,
-                offs,
-            ))
+            # explode_text_arrow succeeded ⇒ all-ASCII, so the vectorized
+            # byte-run span pass is token-parallel to `flat`
+            offs = token_spans_ascii(rows[cfg.text_field])
+        add(cfg.text_field, *_sorted_codes(flat), doc_ids[parent], _positions(dls),
+            cfg.positions, offs)
     else:
         texts = rows[cfg.text_field].to_pylist()
         pays = None
+        offs = None
         if cfg.payloads:
             tp_lists = analyzer.with_payloads(texts)
             token_lists = [[t for t, _ in tp] for tp in tp_lists]
             pays = np.array(
                 [p for tp in tp_lists for _, p in tp], dtype=object
             )
-            offs = None
         elif cfg.offsets:
             span_lists = analyzer.tokenize_with_spans(texts)
             token_lists = [[t for t, _, _ in sp] for sp in span_lists]
@@ -414,11 +446,9 @@ def build_segment_tables(
             offs = (o_start, o_end)
         else:
             token_lists = analyzer(texts)
-            offs = None
         dls = np.fromiter((len(t) for t in token_lists), dtype=np.int64, count=n)
-        term_tables.append(_postings_for_field(
-            cfg.text_field, token_lists, doc_ids, cfg.positions, offs, pays
-        ))
+        add(cfg.text_field, *_occurrences(token_lists, doc_ids), cfg.positions,
+            offs, pays)
     field_stats[cfg.text_field] = {
         # docs_with_field counts docs producing >=1 token (null/empty text has
         # no tokens => field absent, matching the reference's field semantics)
@@ -430,10 +460,17 @@ def build_segment_tables(
     for f in cfg.keyword_fields:
         if f not in rows.column_names:
             continue
-        vals = rows[f].to_pylist()
-        kw_lists = kw(vals)
-        kw_dls = np.fromiter((len(t) for t in kw_lists), dtype=np.int64, count=n)
-        term_tables.append(_postings_for_field(f, kw_lists, doc_ids, False))
+        col = rows[f].combine_chunks()
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            # the keyword analyzer's one token per non-null value, "" included
+            valid = col.is_valid().to_numpy(zero_copy_only=False)
+            kw_dls = valid.astype(np.int64)
+            add(f, *_sorted_codes(col.drop_null()), doc_ids[valid],
+                np.zeros(int(kw_dls.sum()), np.int64))
+        else:
+            kw_lists = kw(col.to_pylist())
+            kw_dls = np.fromiter((len(t) for t in kw_lists), dtype=np.int64, count=n)
+            add(f, *_occurrences(kw_lists, doc_ids))
         field_stats[f] = {
             "docs_with_field": int((kw_dls > 0).sum()),
             "total_term_freq": int(kw_dls.sum()),
@@ -449,7 +486,7 @@ def build_segment_tables(
         vals = np.where(valid, col.to_numpy(zero_copy_only=False), 0).astype(np.int64)
         all_terms = numeric_trie_terms(vals)
         num_lists = [t if ok else [] for t, ok in zip(all_terms, valid)]
-        term_tables.append(_postings_for_field(f, num_lists, doc_ids, False))
+        add(f, *_occurrences(num_lists, doc_ids))
         field_stats[f] = {
             "docs_with_field": int(valid.sum()),
             "total_term_freq": int(valid.sum()),
@@ -464,9 +501,7 @@ def build_segment_tables(
         geo_dls = np.fromiter(
             (1 if t else 0 for t in geo_lists), dtype=np.int64, count=n
         )  # one point per doc regardless of prefix fan-out
-        term_tables.append(
-            _postings_for_field(f, geo_lists, doc_ids, False)
-        )
+        add(f, *_occurrences(geo_lists, doc_ids))
         field_stats[f] = {
             "docs_with_field": int(geo_dls.sum()),
             "total_term_freq": int(geo_dls.sum()),
@@ -483,7 +518,7 @@ def build_segment_tables(
         kw_fields, num_fields = dynamic_postings(f, rows[f].to_pylist(), n)
         for dyn, lists in sorted(kw_fields.items()):
             d_dls = np.fromiter((len(t) for t in lists), dtype=np.int64, count=n)
-            term_tables.append(_postings_for_field(dyn, lists, doc_ids, False))
+            add(dyn, *_occurrences(lists, doc_ids))
             field_stats[dyn] = {
                 "docs_with_field": int((d_dls > 0).sum()),
                 "total_term_freq": int(d_dls.sum()),
@@ -491,7 +526,7 @@ def build_segment_tables(
         for dyn, (occ_rows, occ_vals) in sorted(num_fields.items()):
             lists = numeric_token_lists(occ_rows, occ_vals, n)
             d_dls = np.bincount(occ_rows, minlength=n).astype(np.int64)
-            term_tables.append(_postings_for_field(dyn, lists, doc_ids, False))
+            add(dyn, *_occurrences(lists, doc_ids))
             stats = field_stats.setdefault(
                 dyn, {"docs_with_field": 0, "total_term_freq": 0}
             )  # a path can be string in one doc, number in another
@@ -527,6 +562,9 @@ def build_segment_tables(
     if cfg.store_text:
         doc_cols[cfg.text_field] = rows[cfg.text_field]
     docs = pa.table(doc_cols)
+    clock.lap("group_encode")
+    if cpu is not None:
+        cpu.update(clock.secs)
     return terms, docs, field_stats
 
 
@@ -665,11 +703,13 @@ def write_segment(
 ) -> dict:
     """Write a single-file segment dir atomically and return its meta entry.
     With ``crypto`` (state/crypto.IndexEncryption), terms/docs pages are
-    AES-GCM ciphertext at rest (SURVEY §2.2 encryption)."""
+    AES-GCM ciphertext at rest (SURVEY §2.2 encryption).  The process CPU
+    of the two table writes lands in ``metrics["write_cpu_secs"]``."""
     seg_dir = os.path.join(index_dir, "segments", name)
     if os.path.isdir(seg_dir) and os.path.exists(os.path.join(seg_dir, "meta.json")):
         with open(os.path.join(seg_dir, "meta.json")) as f:
             return json.load(f)  # idempotent retry / resume hit
+    c0 = time.process_time()
     tmp_dir = os.path.join(index_dir, "_tmp", f"{name}-{os.getpid()}-{next(_STAGE_SEQ)}")
     os.makedirs(tmp_dir, exist_ok=True)
     if crypto is not None:
@@ -709,7 +749,8 @@ def write_segment(
         ),
         "config": cfg.to_json(),
         "lineage": lineage or {},
-        "metrics": metrics or {},
+        "metrics": {**(metrics or {}),
+                    "write_cpu_secs": round(time.process_time() - c0, 4)},
         "encrypted": getattr(crypto, "key_id", None),
         # key-bytes fingerprint: resume compares this, not just key_id, so a
         # rotated master key under a reused id forces a rebuild (ADVICE r3)

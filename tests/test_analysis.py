@@ -231,6 +231,66 @@ def test_segmentation_matches_text_analyzer_on_plain_ascii():
     assert get_analyzer("segmentation")(texts) == TextAnalyzer()(texts)
 
 
+PARITY_TEXTS = [
+    "  Hello, World!!  ",
+    "",
+    "   ",
+    "\t\n",
+    "snake_case_2x __x__ _",
+    "Tab\t\tsep\nline\r\nEnd",
+    "v1.2.3 -- 42abc ABC42 007",
+    "...,;:!?()[]{}<>/\\|'\"`~@#$%^&*-+=",
+    "x",
+    "MiXeD CaSe wOrDs",
+    "end.",
+    ".start",
+]
+
+
+def _assert_explode_parity(arr, texts):
+    import numpy as np
+
+    from iresearch_ray.functions.analysis import explode_text_arrow
+
+    flat, parent, dls = explode_text_arrow(arr)
+    want = TextAnalyzer()(texts)
+    assert flat.to_pylist() == [t for toks in want for t in toks]
+    assert parent.tolist() == [i for i, toks in enumerate(want) for _ in toks]
+    assert dls.dtype == np.int64
+    assert dls.tolist() == [len(toks) for toks in want]
+
+
+def test_explode_text_arrow_matches_text_analyzer():
+    """The byte-map + whitespace-split fast path emits the pinned `text`
+    analyzer's tokens, parent rows and dl on every input shape: separators
+    at both ends, `_`, digits, punctuation runs, tabs and newlines, empty
+    and whitespace-only strings, slices, chunks and large_string."""
+    import pyarrow as pa
+
+    texts = PARITY_TEXTS
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(texts, typ)
+        _assert_explode_parity(arr, texts)
+        _assert_explode_parity(arr.slice(3, 6), texts[3:9])
+        _assert_explode_parity(arr.slice(len(texts) - 1), texts[-1:])
+        _assert_explode_parity(arr.slice(1, 2), texts[1:3])  # no token at all
+        _assert_explode_parity(
+            pa.chunked_array([arr.slice(0, 5), arr.slice(5)]), texts
+        )
+        _assert_explode_parity(pa.chunked_array([], typ), [])
+
+
+def test_explode_text_arrow_declines_nulls_and_non_ascii():
+    import pyarrow as pa
+
+    from iresearch_ray.functions.analysis import explode_text_arrow
+
+    assert explode_text_arrow(pa.array(["a b", None])) is None
+    assert explode_text_arrow(pa.array(["Café au lait"])) is None
+    # a sliced-away null no longer counts
+    _assert_explode_parity(pa.array([None, "a b"]).slice(1), ["a b"])
+
+
 def test_collation_order_matches_real_icu_fuzz():
     """Order-parity fuzz against a REAL ICU instance (DuckDB bundles the
     icu extension statically): 1500+ random Latin/accent/punct/digit
