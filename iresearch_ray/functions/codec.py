@@ -17,9 +17,13 @@ Layout per term (all stored as Arrow columns in terms.parquet):
 - ``block_last_doc``, ``block_off``, ``pos_off``, ``block_doc_count``:
   int64 lists, one entry per block.
 
-Everything is vectorized numpy; no per-byte python loops.  Reads decode
-whole rows: ``decode_postings_bulk`` decodes any set of term rows in one
-varint pass over numpy views of the terms table (``PostingColumns``), and
+Everything is vectorized numpy; no per-byte python loops.  The build
+encodes every term of a field at once (``encode_postings_bulk``): one
+varint pass per stream, which computes each value's byte width once and
+writes the bytes one byte index at a time; a block's byte offset is the
+sum of its values' widths.  Reads decode whole rows:
+``decode_postings_bulk`` decodes any set of term rows in one varint pass
+over numpy views of the terms table (``PostingColumns``), and
 ``decode_postings`` is its one-row call on a bare blob.
 """
 
@@ -37,33 +41,44 @@ BLOCK_SIZE = 128  # docs per posting block (ref: formats_10.cpp block size 128)
 # vectorized varint (LEB128, 7 bits per byte, high bit = continuation)
 # ---------------------------------------------------------------------------
 
-_VARINT_THRESHOLDS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+
+def _varint_encode_widths(v: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """LEB128 bytes of a uint64 stream and each value's byte width (uint8).
+
+    Widths are computed once, by ``v >= 2**(7k)`` tests up to the stream's
+    widest value w.  Byte index k of every value is written as one column
+    of an ``(n, w)`` matrix, with the continuation bit wherever
+    ``width > k + 1``; compacting each row to its first ``width`` bytes
+    gives the stream — the width-grouped write of Stream VByte (Lemire et
+    al., 2018), with plain LEB128 bytes."""
+    n = v.size
+    if n == 0:
+        return b"", np.empty(0, dtype=np.uint8)
+    mx = int(v.max())
+    if mx < 128:  # pure 1-byte stream (tfs / in-block deltas): memcpy
+        return v.astype(np.uint8).tobytes(), np.ones(n, dtype=np.uint8)
+    w = (mx.bit_length() + 6) // 7
+    mat = np.empty((n, w), dtype=np.uint8)
+    keep = np.empty((n, w), dtype=bool)  # keep[:, k] == (width > k)
+    keep[:, 0] = True
+    widths = np.ones(n, dtype=np.uint8)
+    np.bitwise_and(v, 0x7F, out=mat[:, 0], casting="unsafe")
+    for k in range(1, w):
+        shifted = v >> np.uint64(7 * k)
+        more = keep[:, k]
+        np.not_equal(shifted, 0, out=more)  # v >= 2**(7k)
+        widths += more
+        mat[:, k - 1] |= more.view(np.uint8) << 7
+        np.bitwise_and(shifted, 0x7F, out=mat[:, k], casting="unsafe")
+    return np.compress(keep.reshape(-1), mat.reshape(-1)).tobytes(), widths
 
 
 def varint_encode(values: np.ndarray) -> bytes:
-    """Encode a non-negative int array to concatenated varints (vectorized).
-    LEB128 is per-value, so encode(concat(a, b)) == encode(a) + encode(b) —
-    callers batch several logical arrays into one call for throughput."""
-    v = np.asarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    if v.max() < 128:  # pure 1-byte stream (tfs / in-block deltas): memcpy
-        return v.astype(np.uint8).tobytes()
-    # bytes needed per value: ceil(bit_length/7), min 1 — via 9 threshold
-    # compares instead of a data-dependent shift loop
-    nbytes = 1 + np.searchsorted(_VARINT_THRESHOLDS, v, side="right")
-    total = int(nbytes.sum())
-    out = np.empty(total, dtype=np.uint8)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    # byte index within each value's encoding
-    gid = np.repeat(np.arange(v.size), nbytes)
-    pos_in_val = np.arange(total) - np.repeat(starts, nbytes)
-    shifted = v[gid] >> (np.uint64(7) * pos_in_val.astype(np.uint64))
-    payload = (shifted & np.uint64(0x7F)).astype(np.uint8)
-    is_last = pos_in_val == (nbytes[gid] - 1)
-    out[:] = np.where(is_last, payload, payload | 0x80)
-    return out.tobytes()
+    """Encode a non-negative int array to concatenated varints (vectorized,
+    see ``_varint_encode_widths``).  LEB128 is per-value, so
+    encode(concat(a, b)) == encode(a) + encode(b) — callers batch several
+    logical arrays into one call for throughput."""
+    return _varint_encode_widths(np.asarray(values, dtype=np.uint64))[0]
 
 
 def varint_decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
@@ -254,9 +269,16 @@ def encode_postings(
     )
 
 
-def _varint_nbytes(v: np.ndarray) -> np.ndarray:
-    """Encoded byte length per value — mirrors varint_encode's layout."""
-    return (1 + np.searchsorted(_VARINT_THRESHOLDS, v, side="right")).astype(np.int64)
+def _block_offsets(
+    blk_bytes: np.ndarray, blk_bounds: np.ndarray, nblk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Byte layout of a stream of back-to-back blocks, given each block's
+    byte count: (per-term byte bounds, T+1, with terms byte-contiguous;
+    each block's byte offset within its term)."""
+    blk_start = np.cumsum(blk_bytes) - blk_bytes
+    term_start = blk_start[blk_bounds[:-1]]
+    term_bounds = np.append(term_start, blk_start[-1] + blk_bytes[-1])
+    return term_bounds, blk_start - np.repeat(term_start, nblk)
 
 
 def encode_postings_bulk(
@@ -266,10 +288,15 @@ def encode_postings_bulk(
     term_ends: np.ndarray,
     pos: np.ndarray | None = None,
 ) -> dict:
-    """Encode EVERY term's postings of one field in one pass (round-4 build
-    hot-spot fix: the per-term ``encode_postings`` loop paid ~26k
-    ``varint_encode`` calls per partition; this computes the identical bytes
-    with TWO varint calls total — byte-parity asserted in tests).
+    """Encode EVERY term's postings of one field in one pass: the bytes of
+    a per-term ``encode_postings`` loop (byte parity asserted in tests)
+    from TWO varint passes in all, one over the interleaved doc-delta/tf
+    stream and one over the position stream.
+
+    The block layout is built per block from per-term scalars, and each
+    varint pass also returns every value's byte width, so a block's byte
+    offset is a ``reduceat`` sum of its widths plus a cumsum over blocks —
+    no per-value offset array.
 
     Inputs are pair-level arrays sorted by (term, doc): ``pair_doc`` int64
     doc ids, ``tf`` per-pair term frequency; ``term_starts``/``term_ends``
@@ -300,16 +327,16 @@ def encode_postings_bulk(
             "block_doc_count": z,
         }
 
-    # ---- block layout -----------------------------------------------------
+    # ---- block layout, per block from per-term scalars --------------------
     nblk = (term_len + BLOCK_SIZE - 1) // BLOCK_SIZE
     blk_bounds = np.concatenate(([0], np.cumsum(nblk)))  # per-term block range
     n_blocks = int(blk_bounds[-1])
-    idx_in_term = np.arange(n, dtype=np.int64) - np.repeat(term_starts, term_len)
-    blk_global = np.repeat(blk_bounds[:-1], term_len) + idx_in_term // BLOCK_SIZE
-    j = idx_in_term % BLOCK_SIZE
-    cnt = np.bincount(blk_global, minlength=n_blocks).astype(np.int64)
-    blk_pair_start = np.concatenate(([0], np.cumsum(cnt)))[:-1]
-    blk_pair_end = blk_pair_start + cnt
+    blk_term = np.repeat(np.arange(t_cnt), nblk)
+    blk_pair_start = term_starts[blk_term] + BLOCK_SIZE * (
+        np.arange(n_blocks) - blk_bounds[blk_term]
+    )
+    blk_pair_end = np.minimum(blk_pair_start + BLOCK_SIZE, term_ends[blk_term])
+    cnt = blk_pair_end - blk_pair_start
 
     # ---- doc deltas (block-start rebasing == plain diff except term starts)
     deltas = np.empty(n, dtype=np.int64)
@@ -318,19 +345,15 @@ def encode_postings_bulk(
     deltas[term_starts] = pair_doc[term_starts]
 
     # ---- interleave per block: [deltas…, tfs…] then ONE varint pass -------
-    block_out_start = np.concatenate(([0], np.cumsum(2 * cnt)))[:-1]
-    slot_delta = block_out_start[blk_global] + j
-    slot_tf = slot_delta + cnt[blk_global]
+    # block b's values start at 2 * blk_pair_start[b]: pair i's delta goes
+    # to i + blk_pair_start[b], its tf cnt[b] slots further on
+    slot_delta = np.arange(n) + np.repeat(blk_pair_start, cnt)
     vals = np.empty(2 * n, dtype=np.uint64)
-    vals[slot_delta] = deltas.astype(np.uint64)
-    vals[slot_tf] = tf.astype(np.uint64)
-    doc_blob = varint_encode(vals)
-    nb = _varint_nbytes(vals)
-    voff = np.concatenate(([0], np.cumsum(nb)))
-    blk_byte_start = voff[block_out_start]
-    term_byte_start = blk_byte_start[blk_bounds[:-1]]
-    term_doc_bounds = np.concatenate((term_byte_start, [voff[-1]]))
-    block_off = blk_byte_start - np.repeat(term_byte_start, nblk)
+    vals[slot_delta] = deltas
+    vals[slot_delta + np.repeat(cnt, cnt)] = tf
+    doc_blob, widths = _varint_encode_widths(vals)
+    blk_bytes = np.add.reduceat(widths, 2 * blk_pair_start, dtype=np.int64)
+    term_doc_bounds, block_off = _block_offsets(blk_bytes, blk_bounds, nblk)
 
     # ---- positions: one varint pass over per-doc-reset deltas -------------
     pos_blob = b""
@@ -338,20 +361,16 @@ def encode_postings_bulk(
     term_pos_bounds = np.zeros(t_cnt + 1, dtype=np.int64)
     if pos is not None and pos.size:
         pos = np.asarray(pos, dtype=np.int64)
-        occ_ends = np.cumsum(tf)
-        occ_starts = occ_ends - tf
+        occ_starts = np.cumsum(tf) - tf
         pdelta = np.empty(pos.size, dtype=np.int64)
         if pos.size > 1:
             pdelta[1:] = np.diff(pos)
         pdelta[occ_starts] = pos[occ_starts]
-        pvals = pdelta.astype(np.uint64)
-        pos_blob = varint_encode(pvals)
-        pvoff = np.concatenate(([0], np.cumsum(_varint_nbytes(pvals))))
-        blk_pos_byte_start = pvoff[occ_starts[blk_pair_start]]
-        term_pos_start = blk_pos_byte_start[blk_bounds[:-1]]
-        # terms are byte-contiguous: each ends where the next starts
-        term_pos_bounds = np.concatenate((term_pos_start, [pvoff[-1]]))
-        pos_off = blk_pos_byte_start - np.repeat(term_pos_start, nblk)
+        pos_blob, pwidths = _varint_encode_widths(pdelta.view(np.uint64))
+        blk_pos_bytes = np.add.reduceat(
+            pwidths, occ_starts[blk_pair_start], dtype=np.int64
+        )
+        term_pos_bounds, pos_off = _block_offsets(blk_pos_bytes, blk_bounds, nblk)
 
     return {
         "df": term_len,

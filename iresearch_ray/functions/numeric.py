@@ -47,11 +47,6 @@ def trie_terms(values: np.ndarray) -> list[list[str]]:
     return [[per_level[lv][i] for lv in range(LEVELS)] for i in range(len(u))]
 
 
-def term_of(value: int, level: int) -> str:
-    u = int(to_sortable_u64(np.array([value]))[0])
-    return f"{level:02x}" + format(u >> (level * STEP), "016x")
-
-
 def decompose_range(lo: int, hi: int) -> list[tuple[int, int, int]]:
     """[lo, hi] (inclusive, int64) → minimal covering set of
     (level, lo_shifted, hi_shifted) contiguous runs, mutually disjoint —

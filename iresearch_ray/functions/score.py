@@ -48,40 +48,8 @@ def bm25_tf_factor(
     return (tf * (k1 + 1.0)) / (tf + norm)
 
 
-def bm25_score(
-    tf: np.ndarray,
-    dl: np.ndarray,
-    n: float,
-    N: float,
-    avg_dl: float,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
-    boost: float = 1.0,
-) -> np.ndarray:
-    return (boost * bm25_idf(n, N)) * np.asarray(
-        bm25_tf_factor(tf, dl, avg_dl, k1, b), dtype=np.float64
-    )
-
-
 def tfidf_idf(n: float, N: float) -> float:
     return 1.0 + math.log(N / (n + 1.0))
-
-
-def tfidf_score(
-    tf: np.ndarray,
-    dl: np.ndarray,
-    n: float,
-    N: float,
-    avg_dl: float = 0.0,  # unused; uniform scorer signature
-    norms: bool = False,
-    boost: float = 1.0,
-) -> np.ndarray:
-    s = (boost * tfidf_idf(n, N)) * np.sqrt(np.asarray(tf, dtype=np.float64))
-    if norms:
-        s = s / np.sqrt(np.asarray(dl, dtype=np.float64))
-    return s
-
-
 
 
 def tfidf_tf_factor(tf, dl, avg_dl=None, k1=None, b=None):

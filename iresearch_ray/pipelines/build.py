@@ -199,6 +199,7 @@ def _write_part(index_dir: str, cfg: IndexConfig, rows: pa.Table, part: int, P: 
             "build_cpu_secs": round(cpu, 4),
             "analyze_cpu_secs": round(layers["analyze"], 4),
             "group_encode_cpu_secs": round(layers["group_encode"], 4),
+            "encode_cpu_secs": round(layers.get("encode", 0.0), 4),
             "tokens": field_stats.get(cfg.text_field, {}).get("total_term_freq", 0),
         },
         crypto=crypto,

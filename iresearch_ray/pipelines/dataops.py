@@ -394,16 +394,6 @@ def lang_id(ds, text_col: str = "text", id_col: str = "doc_id"):
 # ---------------------------------------------------------------------------
 
 
-def _shingle_hashes(tokens: list[str], n: int) -> np.ndarray:
-    """Distinct 64-bit hashes of word n-gram shingles (scalar reference —
-    same hash family as the vectorized batch path)."""
-    if len(tokens) < n:
-        joined = [" ".join(tokens)] if tokens else []
-    else:
-        joined = [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-    return np.unique(_hash_strings(np.array(joined, dtype=object)))
-
-
 def _shingle_parent_hash(
     texts: pa.ChunkedArray | pa.Array, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -678,17 +668,6 @@ class MinHashCfg:
             b = rng.integers(0, int(_MERSENNE), self.num_perm, dtype=np.uint64)
             object.__setattr__(self, "_ab", np.stack([a, b]))
         return self._ab
-
-
-def minhash_signature(shingles: np.ndarray, cfg: MinHashCfg) -> np.ndarray:
-    """(num_perm,) uint64 signature — vectorized (num_perm × n_shingles)."""
-    if len(shingles) == 0:
-        return np.full(cfg.num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    ab = cfg.perms()
-    # (P, S): (a*h + b) mod M  — uint64 wrap then mask to 61 bits is fine for
-    # min-comparison purposes (universal-enough family, deterministic)
-    vals = (ab[0][:, None] * shingles[None, :] + ab[1][:, None]) & _MERSENNE
-    return vals.min(axis=1)
 
 
 _FNV_OFFSET = np.uint64(14695981039346656037)

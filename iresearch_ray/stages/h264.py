@@ -67,9 +67,6 @@ class BitReader:
         self.data = data
         self.pos = 0  # bit position
 
-    def bits_left(self) -> int:
-        return len(self.data) * 8 - self.pos
-
     def u(self, n: int) -> int:
         v = 0
         try:
@@ -1593,16 +1590,6 @@ def decode_picture(rbsps: list, sps: dict, pps: dict,
     return (planes, fr) if return_frame else planes
 
 
-def decode_idr_picture(rbsps: list, sps: dict, pps: dict):
-    """One IDR access unit (>= 1 I slice RBSPs) -> (Y, Cb, Cr) planes."""
-    return decode_picture(rbsps, sps, pps)
-
-
-def decode_idr_slice(rbsp: bytes, sps: dict, pps: dict):
-    """Single-slice picture convenience wrapper."""
-    return decode_idr_picture([rbsp], sps, pps)
-
-
 # ---------------------------------------------------------------------------
 # stream plumbing: Annex-B / length-prefixed NAL walk, frame decode
 # ---------------------------------------------------------------------------
@@ -1636,12 +1623,6 @@ def split_annexb_hdr(stream: bytes):
 def split_annexb(stream: bytes):
     """[(nal_type, rbsp)] from an Annex-B byte stream."""
     return [(nt, rbsp) for nt, _, rbsp in split_annexb_hdr(stream)]
-
-
-def iter_avc_nals(sample: bytes, length_size: int = 4):
-    """(nal_type, rbsp) NALs of one MP4 avc1 sample (length-prefixed)."""
-    for nt, _, rbsp in iter_avc_nals_hdr(sample, length_size):
-        yield nt, rbsp
 
 
 def iter_avc_nals_hdr(sample: bytes, length_size: int = 4):

@@ -415,9 +415,6 @@ class _BitReader:
             v = (v << 1) | self.read_bit()
         return v
 
-    def byte_align(self) -> None:
-        self.nbits = 0
-
 
 def _receive_extend(br: _BitReader, size: int) -> int:
     if size == 0:

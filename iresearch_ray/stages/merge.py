@@ -28,7 +28,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from iresearch_ray.functions.codec import varint_encode
+from iresearch_ray.functions.codec import _varint_encode_widths, varint_encode
 from iresearch_ray.stages.segment import (
     IndexConfig,
     SegmentReader,
@@ -111,9 +111,6 @@ def _concat_term_postings(parts: list[tuple[dict, int]]) -> dict:
         "pay_blob": bytes(out_pay),
         "pay_off": pay_off,
     }
-
-
-_VARINT_THRESH = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
 
 
 def splice_term_runs(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
@@ -209,8 +206,8 @@ def splice_term_runs(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
     prev_last = np.zeros(n, dtype=np.int64)
     prev_last[1:] = np.where(new_run[1:], 0, part_last[:-1])
     new_first = first_val + offs - prev_last
-    enc_first = varint_encode(new_first.astype(np.uint64))
-    new_len = 1 + np.searchsorted(_VARINT_THRESH, new_first.astype(np.uint64), side="right")
+    enc_first, new_len = _varint_encode_widths(new_first.astype(np.uint64))
+    new_len = new_len.astype(np.int64)
     enc_ends = np.cumsum(new_len)
     enc_starts = enc_ends - new_len
     enc_arr = np.frombuffer(enc_first, dtype=np.uint8)

@@ -151,7 +151,8 @@ class IndexConfig:
 
 class _CpuLaps:
     """Process CPU seconds per build layer: each ``lap(layer)`` charges the
-    CPU used since the previous lap (or since construction) to ``layer``."""
+    CPU used since the previous lap (or since construction) to ``layer``;
+    ``add(layer, secs)`` records a sub-layer of the open lap."""
 
     def __init__(self):
         self.secs: dict[str, float] = {}
@@ -159,8 +160,11 @@ class _CpuLaps:
 
     def lap(self, layer: str) -> None:
         t = time.process_time()
-        self.secs[layer] = self.secs.get(layer, 0.0) + t - self._t
+        self.add(layer, t - self._t)
         self._t = t
+
+    def add(self, layer: str, secs: float) -> None:
+        self.secs[layer] = self.secs.get(layer, 0.0) + secs
 
 
 def _positions(lens: np.ndarray) -> np.ndarray:
@@ -216,12 +220,14 @@ def _postings_from_codes(
     with_positions: bool,
     offs: tuple[np.ndarray, np.ndarray] | None = None,
     pays: np.ndarray | None = None,
+    clock: _CpuLaps | None = None,
 ) -> pa.Table:
     """Grouping + encode tail shared by the python and arrow tokenize paths:
     ``codes`` are sorted-term integer codes per occurrence, ``uniques`` the
     sorted term strings.  Occurrences must arrive in (doc, pos) order —
     every tokenize path emits them so — because the grouping sort keys on
-    the term code alone (``_term_order``)."""
+    the term code alone (``_term_order``).  ``clock``, when given, is
+    charged the CPU of the bulk posting encode as layer ``encode``."""
     total = codes.size
     order = _term_order(codes, len(uniques))
     codes_s, docs_s, pos_s = codes[order], doc_rep[order], pos[order]
@@ -251,10 +257,13 @@ def _postings_from_codes(
         # python dicts, no from_pylist (byte-parity asserted in test_codec)
         from iresearch_ray.functions.codec import encode_postings_bulk
 
+        c0 = time.process_time()
         enc = encode_postings_bulk(
             pair_doc, tf, term_starts, term_ends,
             pos_s if with_positions else None,
         )
+        if clock is not None:
+            clock.add("encode", time.process_time() - c0)
         n_terms = term_starts.size
         n_blocks = int(enc["blk_bounds"][-1])
         has_pos = with_positions and len(enc["pos_blob"]) > 0
@@ -364,7 +373,9 @@ def build_segment_tables(
     field kinds tokenize in python and factorize.  ``cpu``, when given,
     receives the process CPU seconds of the two layers: ``analyze``
     (sort, tokenize, term codes) and ``group_encode`` (grouping, posting
-    encode, terms/docs table assembly).
+    encode, terms/docs table assembly), plus ``encode``, the part of
+    ``group_encode`` spent in ``codec.encode_postings_bulk`` (absent when
+    every field takes the per-term offsets/payloads encode).
     """
     clock = _CpuLaps()
     i = rows.schema.get_field_index("turn_idx")
@@ -386,7 +397,8 @@ def build_segment_tables(
         clock.lap("analyze")
         if codes.size:
             term_tables.append(_postings_from_codes(
-                field_name, codes, uniques, doc_rep, pos, with_positions, offs, pays
+                field_name, codes, uniques, doc_rep, pos, with_positions, offs, pays,
+                clock,
             ))
         clock.lap("group_encode")
 

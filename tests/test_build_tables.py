@@ -141,7 +141,10 @@ def test_segment_meta_records_layer_cpu(tmp_path):
     for name in os.listdir(seg_root):
         with open(os.path.join(seg_root, name, "meta.json")) as f:
             m = json.load(f)["metrics"]
-        layers = ("analyze_cpu_secs", "group_encode_cpu_secs", "write_cpu_secs")
+        layers = ("analyze_cpu_secs", "group_encode_cpu_secs", "encode_cpu_secs",
+                  "write_cpu_secs")
         assert all(m[k] >= 0 for k in layers)
         # build_cpu_secs spans the content key and both table layers
         assert m["analyze_cpu_secs"] + m["group_encode_cpu_secs"] <= m["build_cpu_secs"] + 1e-3
+        # the posting encode is a part of group_encode
+        assert m["encode_cpu_secs"] <= m["group_encode_cpu_secs"] + 1e-3

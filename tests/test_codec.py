@@ -42,6 +42,46 @@ def test_varint_roundtrip():
     assert np.array_equal(varint_decode(varint_encode(vals)), vals)
 
 
+def _leb128(x: int) -> bytes:
+    """Scalar LEB128 reference: 7 bits per byte, low group first, high bit
+    set on every byte but the last."""
+    out = bytearray()
+    while True:
+        b, x = x & 0x7F, x >> 7
+        if not x:
+            return bytes(out + bytes([b]))
+        out.append(b | 0x80)
+
+
+def _values_of_width(w: int, rng) -> list[int]:
+    """Both ends of the w-byte range plus random values inside it."""
+    lo = 0 if w == 1 else 1 << (7 * (w - 1))
+    hi = (1 << min(7 * w, 64)) - 1
+    return [lo, hi] + [int(x) for x in rng.integers(lo, hi, size=20, dtype=np.uint64,
+                                                        endpoint=True)]
+
+
+@pytest.mark.parametrize("w", range(1, 11))
+def test_varint_every_width_matches_scalar_leb128(w):
+    """Every byte width 1..10, with each boundary 2**(7k) - 1 / 2**(7k) and
+    2**64 - 1, against the scalar reference; the stream's widest value
+    sets the encoder's matrix width, so each w also mixes in every
+    narrower width."""
+    from iresearch_ray.functions.codec import _varint_encode_widths
+
+    rng = np.random.default_rng(w)
+    vals = [x for k in range(1, w + 1) for x in _values_of_width(k, rng)]
+    vals = [vals[i] for i in rng.permutation(len(vals))]
+    assert max(len(_leb128(x)) for x in vals) == w
+    arr = np.array(vals, dtype=np.uint64)
+    enc, widths = _varint_encode_widths(arr)
+    assert enc == varint_encode(arr) == b"".join(_leb128(x) for x in vals)
+    assert widths.tolist() == [len(_leb128(x)) for x in vals]
+    assert varint_decode(enc).tolist() == vals
+    for x in vals:  # one-value streams
+        assert varint_encode(np.array([x], dtype=np.uint64)) == _leb128(x)
+
+
 def test_varint_empty():
     assert varint_encode(np.array([], dtype=np.uint64)) == b""
     assert varint_decode(b"").size == 0
@@ -84,18 +124,27 @@ def test_encode_postings_bulk_byte_parity():
     """encode_postings_bulk (one varint pass for every term — the round-4
     build hot-spot fix) must produce byte-identical blobs and identical
     block metadata to the per-term encode_postings reference."""
-    import numpy as np
+    _check_bulk_parity(5000, 500)
 
+
+def test_encode_postings_bulk_byte_parity_wide_values():
+    """The same parity with doc deltas of 3-4 bytes (>= 2**21 included) and
+    3-byte positions (>= 16384)."""
+    _check_bulk_parity(1 << 28, 1 << 15)
+
+
+def _check_bulk_parity(doc_hi, pos_hi):
     from iresearch_ray.functions.codec import encode_postings, encode_postings_bulk
 
     rng = np.random.default_rng(0)
+    seen_doc, seen_pos = 0, 0
     for _trial in range(40):
         n_terms = int(rng.integers(1, 10))
         pair_doc, tf, ts, te, pos = [], [], [], [], []
         start = 0
         for _t in range(n_terms):
             npairs = int(rng.integers(1, 400))  # spans multi-block terms
-            docs = np.sort(rng.choice(np.arange(1, 5000), size=npairs, replace=False))
+            docs = np.sort(rng.choice(doc_hi - 1, size=npairs, replace=False) + 1)
             tfs = rng.integers(1, 9, size=npairs)
             pair_doc.append(docs)
             tf.append(tfs)
@@ -103,12 +152,13 @@ def test_encode_postings_bulk_byte_parity():
             te.append(start + npairs)
             start += npairs
             for f in tfs:
-                pos.append(np.sort(rng.choice(np.arange(0, 500), size=int(f), replace=False)))
+                pos.append(np.sort(rng.choice(pos_hi, size=int(f), replace=False)))
         pair_doc = np.concatenate(pair_doc)
         tf = np.concatenate(tf)
         pos = np.concatenate(pos)
         ts = np.array(ts)
         te = np.array(te)
+        seen_doc, seen_pos = max(seen_doc, pair_doc.max()), max(seen_pos, pos.max())
         enc = encode_postings_bulk(pair_doc, tf, ts, te, pos)
         occ_ends = np.cumsum(tf)
         occ_starts = occ_ends - tf
@@ -125,3 +175,6 @@ def test_encode_postings_bulk_byte_parity():
                 assert enc[k][b0:b1].tolist() == getattr(ref, k).tolist(), k
             assert int(enc["df"][t]) == e - s
             assert int(enc["cf"][t]) == int(tf[s:e].sum())
+    # the wide case must reach the widths it is there for
+    assert (seen_doc >= 1 << 21) == (doc_hi > 1 << 21)
+    assert (seen_pos >= 1 << 14) == (pos_hi > 1 << 14)

@@ -108,6 +108,17 @@ def test_splice_term_runs_equals_scalar(seed):
     """Whole-table vectorized splice byte-identical to the per-term scalar
     path, over a mixed vocabulary where text terms carry offsets and
     keyword terms don't (the per-run keep_offs decision)."""
+    _check_splice_equals_scalar(seed, (0, 1500, 6000))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_splice_term_runs_wide_first_deltas(seed):
+    """Rows hold docs <= 800, so these offsets push the rebased first
+    deltas across 128, 16384 and 2**21: 1- to 4-byte rewrites."""
+    _check_splice_equals_scalar(seed, (0, 900, 20_000, (1 << 21) + 40_000))
+
+
+def _check_splice_equals_scalar(seed, offsets):
     import pyarrow as pa
 
     from iresearch_ray.stages.merge import splice_term_runs
@@ -116,7 +127,6 @@ def test_splice_term_runs_equals_scalar(seed):
     rng = np.random.default_rng(seed)
     vocab = [("text", w, True) for w in ["alpha", "beta", "gamma", "delta"]]
     vocab += [("role", r, False) for r in ["user", "asst"]]
-    offsets = [0, 1500, 6000]
     per_seg = []
     for _ in offsets:
         seg = {}
